@@ -57,8 +57,10 @@ void BM_YieldPingPong(benchmark::State& state) {
   mp::NativePlatformConfig cfg;
   cfg.max_procs = 1;
   mp::NativePlatform p(cfg);
+  // Outlives the run body: the partner still reads it when Scheduler::run
+  // drains it after the body has returned.
+  std::atomic<bool> stop{false};
   Scheduler::run(p, {}, [&](Scheduler& s) {
-    std::atomic<bool> stop{false};
     s.fork([&] {
       while (!stop.load(std::memory_order_relaxed)) s.yield();
     });

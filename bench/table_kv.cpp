@@ -141,16 +141,18 @@ Outcome run_kv(mp::Platform& platform, int procs, int conns, int ops,
         std::vector<double>& lats = lat[static_cast<std::size_t>(c)];
         lats.reserve(static_cast<std::size_t>(ops));
         const std::string val(32, 'v');
+        // Appended rather than "c" + std::to_string(c): GCC 12 reports a
+        // false -Wrestrict on the latter at -O3.
+        std::string prefix = "c";
+        prefix += std::to_string(c);
         int sent = 0;
         while (sent < ops) {
           const int batch = std::min(window, ops - sent);
           for (int i = 0; i < batch; i++) {
             const int op = sent + i;
-            const std::string key =
-                "c" + std::to_string(c) + ":k" + std::to_string(op % 64);
+            const std::string key = prefix + ":k" + std::to_string(op % 64);
             if (op % 10 == 9) {
-              cli.queue_range("c" + std::to_string(c) + ":k0",
-                              "c" + std::to_string(c) + ":k9", 16);
+              cli.queue_range(prefix + ":k0", prefix + ":k9", 16);
             } else if (op % 3 == 0) {
               cli.queue_set(key, val);
             } else {

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   // A-LOCK: thread-level mutexes once threads outnumber procs.  The proc
   // rows above spin at the platform layer; here 4 procs multiplex many
   // client threads contending on one mp::threads::Mutex, comparing the
-  // paper's test-and-set + Anderson-backoff baseline (MPNJ_LOCK=tas)
+  // paper's test-and-set + Anderson-backoff baseline (LockDiscipline::kTas)
   // against the parking MCS-style queue lock (default).  max/avg wait are
   // exact virtual-time acquire-to-grant delays — the fairness columns.
   std::printf("\n");

@@ -56,7 +56,11 @@ bool arg_flag(int argc, char** argv, const char* name) {
 void client_fleet_member(KvClient& cli, int id, int ops,
                          std::atomic<long>& failures) {
   std::map<std::string, std::string> model;
-  const std::string prefix = "c" + std::to_string(id) + ":";
+  // Appended rather than "c" + std::to_string(id): GCC 12 reports a false
+  // -Wrestrict on the latter at -O3.
+  std::string prefix = "c";
+  prefix += std::to_string(id);
+  prefix += ':';
   long bad = 0;
   if (!cli.ping()) bad++;
   for (int i = 0; i < ops; i++) {
@@ -64,8 +68,10 @@ void client_fleet_member(KvClient& cli, int id, int ops,
     switch (i % 5) {
       case 0:
       case 1: {
-        const std::string val = "v" + std::to_string(id) + "." +
-                                std::to_string(i);
+        std::string val = "v";
+        val += std::to_string(id);
+        val += '.';
+        val += std::to_string(i);
         if (!cli.set(key, val)) bad++;
         model[key] = val;
         break;

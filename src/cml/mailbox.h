@@ -2,10 +2,13 @@
 
 #include <cstddef>
 #include <deque>
+#include <optional>
+#include <utility>
 
 #include "cont/cont.h"
+#include "gc/roots.h"
+#include "threads/qlock.h"
 #include "threads/scheduler.h"
-#include "threads/sync.h"
 
 // An asynchronous buffered channel (CML's mailbox): send enqueues and
 // returns immediately — it never parks the sender waiting for a receiver —
@@ -23,69 +26,106 @@
 // by the rendezvous on the *request* channel: a connection can only owe as
 // many replies as requests it managed to submit).
 //
-// Synthesized from Mutex + CondVar per section 3.3's recipe, so waiting
-// receivers park through the scheduler and cost nothing.  Not selective:
-// a mailbox is not an Event and cannot appear in a choose(); use a
-// rendezvous Channel when selectivity matters.
+// A platform spin guard protects the buffer, and receivers park on a
+// qlock.h Waiters set, so they cost nothing while parked and follow the
+// lock discipline like every sync.h primitive.  A GC-traced payload sits
+// in a GlobalRoot while buffered; any other T is stored as is.  Not
+// selective: a mailbox is not an Event and cannot appear in a choose();
+// use a rendezvous Channel when selectivity matters.
 
 namespace mp::cml {
 
+namespace detail {
+
+// One value held inside a C++ structure.  A GC-traced T lives in a
+// GlobalRoot so collections keep it current while it waits; any other T is
+// stored as is and costs no root.
+template <typename T, bool = cont::is_gc_traced<T>::value>
+class Payload {
+ public:
+  Payload() = default;
+  Payload(Platform&, const T& v) : v_(v) {}
+  const T& get() const { return v_; }
+
+ private:
+  T v_{};
+};
+
+template <typename T>
+class Payload<T, true> {
+ public:
+  Payload() = default;
+  Payload(Platform& p, const T& v)
+      : root_(p.heap(),
+              gc::Value::from_raw_bits(cont::detail::encode_slot(v))) {}
+  T get() const { return cont::detail::decode_slot<T>(root_.get().raw_bits()); }
+
+ private:
+  gc::GlobalRoot root_;
+};
+
+}  // namespace detail
+
 template <typename T>
 class Mailbox {
-  // Buffered values are invisible to the GC between send and recv; only
-  // non-traced payloads (raw words, pointers to C++ objects) are safe.
-  static_assert(!cont::is_gc_traced<T>::value,
-                "Mailbox buffers values outside any GC root; "
-                "use a rendezvous Channel for GC-traced payloads");
-
  public:
-  explicit Mailbox(threads::Scheduler& sched) : mu_(sched), cv_(sched) {}
+  explicit Mailbox(threads::Scheduler& sched)
+      : sched_(sched), spin_(sched.platform().mutex_lock()) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  // Enqueue `v` and return.  Never blocks beyond the internal mutex.
+  // Enqueue `v` and return; wakes one parked receiver, if any.
   void send(const T& v) {
-    mu_.lock();
-    q_.push_back(v);
-    cv_.signal();
-    mu_.unlock();
+    Platform& p = sched_.platform();
+    p.lock(spin_);
+    buffer_.emplace_back(p, v);
+    threads::QNode* n = receivers_.pop();
+    p.unlock(spin_);
+    if (n != nullptr) receivers_.grant(sched_, *n);
   }
 
   // Dequeue the oldest message, parking this thread until one exists.
   T recv() {
-    mu_.lock();
-    while (q_.empty()) cv_.wait(mu_);
-    T v = std::move(q_.front());
-    q_.pop_front();
-    mu_.unlock();
-    return v;
+    Platform& p = sched_.platform();
+    for (;;) {
+      p.lock(spin_);
+      if (!buffer_.empty()) return pop_and_unlock(p);
+      threads::QNode n;
+      receivers_.park(sched_, spin_, n);
+      // Mesa semantics: another receiver may have taken it first.
+    }
   }
 
-  // Dequeue without blocking: false when the mailbox is empty.
-  bool try_recv(T* out) {
-    mu_.lock();
-    if (q_.empty()) {
-      mu_.unlock();
-      return false;
-    }
-    *out = std::move(q_.front());
-    q_.pop_front();
-    mu_.unlock();
-    return true;
+  // Dequeue without blocking: nullopt when the mailbox is empty.
+  std::optional<T> try_recv() {
+    Platform& p = sched_.platform();
+    p.lock(spin_);
+    if (!buffer_.empty()) return pop_and_unlock(p);
+    p.unlock(spin_);
+    return std::nullopt;
   }
 
   // Momentary size (racy under concurrent senders; for tests and metrics).
   std::size_t size() {
-    mu_.lock();
-    const std::size_t n = q_.size();
-    mu_.unlock();
+    Platform& p = sched_.platform();
+    p.lock(spin_);
+    const std::size_t n = buffer_.size();
+    p.unlock(spin_);
     return n;
   }
 
  private:
-  threads::Mutex mu_;
-  threads::CondVar cv_;
-  std::deque<T> q_;
+  T pop_and_unlock(Platform& p) {
+    T v = buffer_.front().get();
+    buffer_.pop_front();
+    p.unlock(spin_);
+    return v;
+  }
+
+  threads::Scheduler& sched_;
+  MutexLock spin_;
+  std::deque<detail::Payload<T>> buffer_;
+  threads::Waiters receivers_;
 };
 
 }  // namespace mp::cml

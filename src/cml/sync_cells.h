@@ -1,45 +1,23 @@
 #pragma once
 
-#include <deque>
+#include <optional>
 
-#include "cml/cml.h"
+#include "arch/panic.h"
+#include "cml/mailbox.h"
 
 // Synchronizing memory cells in the CML tradition, synthesized — like the
 // channels — from mutex locks, refs and continuations (paper section 3.3):
 //
 //   * IVar<T>   — write-once cell; readers block until it is filled.
 //   * MVar<T>   — a one-slot channel with take/put semantics.
-//   * Mailbox<T> — unbounded buffered channel; send never blocks.
+//   * Mailbox<T> — unbounded buffered channel; send never blocks
+//                  (cml/mailbox.h).
+//
+// Each cell is a platform spin guard around its state plus qlock.h Waiters
+// sets, so blocked threads park and wake under the lock discipline exactly
+// as the sync.h primitives do.
 
 namespace mp::cml {
-
-namespace detail {
-
-// Holds one T; when T is a gc::Value the payload lives in a GlobalRoot so
-// collections keep it current while parked inside a C++ structure.
-template <typename T>
-class PayloadSlot {
- public:
-  void set(Platform& p, const T& v) {
-    raw_ = cont::detail::encode_slot(v);
-    if constexpr (cont::is_gc_traced<T>::value) {
-      root_ = gc::GlobalRoot(p.heap(), gc::Value::from_raw_bits(raw_));
-    }
-  }
-  T get() const {
-    if constexpr (cont::is_gc_traced<T>::value) {
-      return cont::detail::decode_slot<T>(root_.get().raw_bits());
-    } else {
-      return cont::detail::decode_slot<T>(raw_);
-    }
-  }
-
- private:
-  std::uint64_t raw_ = 0;
-  gc::GlobalRoot root_;
-};
-
-}  // namespace detail
 
 // Write-once synchronizing variable.
 template <typename T>
@@ -57,12 +35,14 @@ class IVar {
     Platform& p = sched_.platform();
     p.lock(spin_);
     MPNJ_CHECK(!full_, "IVar::put on a full IVar");
-    slot_.set(p, v);
+    slot_ = detail::Payload<T>(p, v);
     full_ = true;
-    std::deque<threads::ThreadState> woken;
-    woken.swap(waiters_);
+    threads::Waiters readers = readers_.take();
+    // A reader that finds the cell full may free it as soon as the guard
+    // drops, so nothing below may touch *this.
+    threads::Scheduler& sched = sched_;
     p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
+    readers.grant_all(sched);
   }
 
   // Read the cell, blocking until it has been filled.
@@ -73,10 +53,8 @@ class IVar {
       p.unlock(spin_);
       return slot_.get();  // immutable once full
     }
-    sched_.suspend([&](threads::ThreadState t) {
-      waiters_.push_back(std::move(t));
-      p.unlock(spin_);
-    });
+    threads::QNode n;
+    readers_.park(sched_, spin_, n);
     return slot_.get();
   }
 
@@ -92,8 +70,8 @@ class IVar {
   threads::Scheduler& sched_;
   MutexLock spin_;
   bool full_ = false;
-  detail::PayloadSlot<T> slot_;
-  std::deque<threads::ThreadState> waiters_;
+  detail::Payload<T> slot_;
+  threads::Waiters readers_;
 };
 
 // One-slot synchronizing variable: put blocks while full, take blocks
@@ -112,15 +90,13 @@ class MVar {
     for (;;) {
       p.lock(spin_);
       if (!full_) {
-        slot_.set(p, v);
+        slot_ = detail::Payload<T>(p, v);
         full_ = true;
         wake_one(takers_);  // unlocks
         return;
       }
-      sched_.suspend([&](threads::ThreadState t) {
-        putters_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
+      threads::QNode n;
+      putters_.park(sched_, spin_, n);
       // Mesa semantics: re-check after waking.
     }
   }
@@ -135,10 +111,8 @@ class MVar {
         wake_one(putters_);  // unlocks
         return v;
       }
-      sched_.suspend([&](threads::ThreadState t) {
-        takers_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
+      threads::QNode n;
+      takers_.park(sched_, spin_, n);
     }
   }
 
@@ -149,7 +123,7 @@ class MVar {
       p.unlock(spin_);
       return false;
     }
-    slot_.set(p, v);
+    slot_ = detail::Payload<T>(p, v);
     full_ = true;
     wake_one(takers_);
     return true;
@@ -169,96 +143,19 @@ class MVar {
   }
 
  private:
-  // Pops one waiter (if any) and releases the spin lock either way.
-  void wake_one(std::deque<threads::ThreadState>& q) {
-    Platform& p = sched_.platform();
-    if (q.empty()) {
-      p.unlock(spin_);
-      return;
-    }
-    threads::ThreadState t = std::move(q.front());
-    q.pop_front();
-    p.unlock(spin_);
-    sched_.reschedule(std::move(t));
+  // Pops one waiter (if any), releases the spin lock, then grants it.
+  void wake_one(threads::Waiters& q) {
+    threads::QNode* n = q.pop();
+    sched_.platform().unlock(spin_);
+    if (n != nullptr) q.grant(sched_, *n);
   }
 
   threads::Scheduler& sched_;
   MutexLock spin_;
   bool full_ = false;
-  detail::PayloadSlot<T> slot_;
-  std::deque<threads::ThreadState> putters_;
-  std::deque<threads::ThreadState> takers_;
-};
-
-// Unbounded buffered channel: send is asynchronous (never blocks), recv
-// blocks while empty — CML's Mailbox.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(threads::Scheduler& sched) : sched_(sched) {
-    spin_ = sched_.platform().mutex_lock();
-  }
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  void send(const T& v) {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    buffer_.emplace_back();
-    buffer_.back().set(p, v);
-    if (!waiters_.empty()) {
-      threads::ThreadState t = std::move(waiters_.front());
-      waiters_.pop_front();
-      p.unlock(spin_);
-      sched_.reschedule(std::move(t));
-      return;
-    }
-    p.unlock(spin_);
-  }
-
-  T recv() {
-    Platform& p = sched_.platform();
-    for (;;) {
-      p.lock(spin_);
-      if (!buffer_.empty()) {
-        T v = buffer_.front().get();
-        buffer_.pop_front();
-        p.unlock(spin_);
-        return v;
-      }
-      sched_.suspend([&](threads::ThreadState t) {
-        waiters_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
-    }
-  }
-
-  std::optional<T> try_recv() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    if (buffer_.empty()) {
-      p.unlock(spin_);
-      return std::nullopt;
-    }
-    T v = buffer_.front().get();
-    buffer_.pop_front();
-    p.unlock(spin_);
-    return v;
-  }
-
-  std::size_t size() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    const std::size_t n = buffer_.size();
-    p.unlock(spin_);
-    return n;
-  }
-
- private:
-  threads::Scheduler& sched_;
-  MutexLock spin_;
-  std::deque<detail::PayloadSlot<T>> buffer_;
-  std::deque<threads::ThreadState> waiters_;
+  detail::Payload<T> slot_;
+  threads::Waiters putters_;
+  threads::Waiters takers_;
 };
 
 }  // namespace mp::cml

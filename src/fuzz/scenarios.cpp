@@ -358,13 +358,19 @@ ExecResult run_kv_pipeline(const ScenarioOpts& o) {
             const int op = sent + i;
             // Keys are shared across connections (no per-conn prefix), so
             // shard channels see genuine cross-connection interleaving.
-            const std::string key = "k" + std::to_string((c + op * 3) % 40);
+            // Appended rather than "k" + std::to_string(n): GCC 12 reports
+            // a false -Wrestrict on the latter at -O3.
+            std::string key = "k";
+            key += std::to_string((c + op * 3) % 40);
             switch (op % 7) {
               case 0:
               case 1:
-              case 4:
-                cli.queue_set(key, "v" + std::to_string(c * 1000 + op));
+              case 4: {
+                std::string val = "v";
+                val += std::to_string(c * 1000 + op);
+                cli.queue_set(key, val);
                 break;
+              }
               case 2:
               case 5:
                 cli.queue_get(key);

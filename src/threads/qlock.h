@@ -43,6 +43,10 @@
 // is the exchange/reschedule, so a stack-allocated node is safe for waits
 // that do not outlive the waiting frame (every primitive except the mutex's
 // holder node, which lives from lock() to unlock() and is pooled).
+//
+// Waiters, below, is the waiter set every blocking primitive parks on.  The
+// lock discipline is its policy: queue waits with this claim protocol, tas
+// with the paper's enqueue-inside-the-suspend-callback protocol.
 
 namespace mp::threads {
 
@@ -56,7 +60,7 @@ struct alignas(arch::kCacheLine) QNode {
 
   std::atomic<QNode*> next{nullptr};  // MCS successor / intrusive wait-list
   std::atomic<Phase> phase{Phase::kSpin};
-  ThreadState ts;          // valid only while phase == kParked
+  ThreadState ts;          // the parked thread (queue policy: kParked only)
   long tag = 0;            // grant-side stamp (barrier generation check)
   QNode* pool_next = nullptr;  // arch::PaddedPool freelist link
 };
@@ -148,12 +152,46 @@ inline void claim_grant(Scheduler& sched, QNode& n) {
   }
 }
 
-// Intrusive FIFO list of claim nodes, chained through QNode::next.  Used by
-// the higher primitives (condvar, semaphore, rwlock, barrier, latch) for
-// their waiter sets; externally synchronized by the primitive's short spin
-// guard, so the link accesses are plain relaxed stores/loads.
-class WaitList {
+// Which waiting protocol newly constructed waiter sets use (docs/SYNC.md).
+enum class LockDiscipline {
+  kQueue,  // claim_wait / claim_grant above (default)
+  kTas,    // the paper's baseline: park inside the suspend callback
+};
+
+namespace detail {
+inline std::atomic<LockDiscipline> lock_discipline_cell{LockDiscipline::kQueue};
+}  // namespace detail
+
+// Process-wide discipline, kQueue unless set_lock_discipline says otherwise
+// (the A-LOCK benches and the stress suite flip it per run).  A waiter set
+// samples it once at construction, so flipping it never changes the
+// protocol of a live primitive.
+inline LockDiscipline lock_discipline() {
+  return detail::lock_discipline_cell.load(std::memory_order_relaxed);
+}
+inline void set_lock_discipline(LockDiscipline d) {
+  detail::lock_discipline_cell.store(d, std::memory_order_relaxed);
+}
+
+// The waiter set under every blocking primitive (sync.h, the cml cells and
+// Mailbox): an intrusive FIFO of claim nodes chained through QNode::next,
+// guarded by the primitive's platform spin lock.  Outside Mutex it is the
+// only code that reads the lock discipline, and only in park and grant:
+//
+//   queue — park pushes the claim, drops the guard and claim_waits;
+//           grant is claim_grant's direct handoff.
+//   tas   — the paper's protocol (Figure 5's send/receive): park enqueues
+//           the claim and drops the guard inside the suspend callback;
+//           grant reschedules the parked thread.
+//
+// A releaser pops (or takes) claims under the guard and grants them after
+// dropping it.  The waiting frame owns its node; a grant is the granter's
+// last touch of it.
+class Waiters {
  public:
+  Waiters() : tas_(lock_discipline() == LockDiscipline::kTas) {}
+
+  bool tas() const { return tas_; }
   bool empty() const { return head_ == nullptr; }
   int size() const { return count_; }
 
@@ -177,22 +215,66 @@ class WaitList {
     return n;
   }
 
-  // Steal the whole list (barrier flip, broadcast, latch release); the
+  // Steal the whole set (barrier flip, broadcast, latch release); the
   // receiver grants outside the guard.
-  WaitList take() {
-    WaitList out;
-    out.head_ = head_;
-    out.tail_ = tail_;
-    out.count_ = count_;
+  Waiters take() {
+    Waiters out = *this;
     head_ = tail_ = nullptr;
     count_ = 0;
     return out;
+  }
+
+  struct NoThen {
+    void operator()() const {}
+  };
+
+  // Wait on claim `n` until a releaser grants it.  Called holding `guard`:
+  // appends `n`, releases `guard`, runs `then` (a CondVar releases its
+  // monitor there) and returns once the claim is granted.
+  template <typename Then = NoThen>
+  void park(Scheduler& sched, const MutexLock& guard, QNode& n,
+            Then then = {}) {
+    Platform& p = sched.platform();
+    if (!tas_) {
+      push(&n);
+      p.unlock(guard);
+      then();
+      claim_wait(sched, n);
+      return;
+    }
+    // The callback runs after callcc has sealed this frame, on a fresh
+    // segment with preemption masked, so the claim is complete before a
+    // releaser can pop it and nothing runs between the enqueue and the
+    // return to the dispatcher (audit: docs/SYNC.md).
+    MPNJ_METRIC_COUNT(kLockParkWaits, 1);
+    sched.suspend([&](ThreadState t) {
+      n.ts = std::move(t);
+      push(&n);
+      p.unlock(guard);
+      then();
+    });
+  }
+
+  // Grant a claim popped from this set, with the guard released.
+  void grant(Scheduler& sched, QNode& n) const {
+    if (!tas_) {
+      claim_grant(sched, n);
+      return;
+    }
+    MPNJ_METRIC_COUNT(kLockHandoffs, 1);
+    sched.reschedule(std::move(n.ts));
+  }
+
+  // Grant every claim of a set taken from under the guard, in FIFO order.
+  void grant_all(Scheduler& sched) {
+    while (QNode* n = pop()) grant(sched, *n);
   }
 
  private:
   QNode* head_ = nullptr;
   QNode* tail_ = nullptr;
   int count_ = 0;
+  const bool tas_;
 };
 
 // The MCS-style queue mutex: the lock *is* the claim queue.  tail_ points at

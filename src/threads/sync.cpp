@@ -1,48 +1,14 @@
 #include "threads/sync.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "arch/panic.h"
 #include "fuzz/hooks.h"
 
 namespace mp::threads {
 
-// ----- lock discipline knob -----
-
-namespace {
-
-LockDiscipline env_discipline() {
-  if (const char* env = std::getenv("MPNJ_LOCK")) {
-    if (std::strcmp(env, "tas") == 0) return LockDiscipline::kTas;
-  }
-  return LockDiscipline::kQueue;
-}
-
-std::atomic<LockDiscipline>& discipline_cell() {
-  static std::atomic<LockDiscipline> cell{env_discipline()};
-  return cell;
-}
-
-}  // namespace
-
-LockDiscipline lock_discipline() {
-  return discipline_cell().load(std::memory_order_relaxed);
-}
-
-void set_lock_discipline(LockDiscipline d) {
-  discipline_cell().store(d, std::memory_order_relaxed);
-}
-
-namespace {
-bool use_tas() { return lock_discipline() == LockDiscipline::kTas; }
-}  // namespace
-
 // ----- Mutex -----
 
-Mutex::Mutex(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
-  if (tas_) {
+Mutex::Mutex(Scheduler& sched) : sched_(sched) {
+  if (waiters_.tas()) {
     spin_ = sched_.platform().mutex_lock();
   } else {
     q_.init(sched_);
@@ -50,7 +16,7 @@ Mutex::Mutex(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
 }
 
 void Mutex::lock() {
-  if (!tas_) {
+  if (!waiters_.tas()) {
     q_.lock();
     return;
   }
@@ -61,19 +27,13 @@ void Mutex::lock() {
     p.unlock(spin_);
     return;
   }
-  // Park holding the spin lock; the park callback releases it once the
-  // thread is safely on the waiter queue (the protocol the paper's send/
-  // receive use in Figure 5).
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
-  // Resumed: ownership was handed to us directly (held_ stayed true).
+  QNode n;
+  waiters_.park(sched_, spin_, n);
+  // Granted: ownership was handed to us directly (held_ stayed true).
 }
 
 bool Mutex::try_lock() {
-  if (!tas_) return q_.try_lock();
+  if (!waiters_.tas()) return q_.try_lock();
   Platform& p = sched_.platform();
   p.lock(spin_);
   const bool got = !held_;
@@ -83,27 +43,21 @@ bool Mutex::try_lock() {
 }
 
 void Mutex::unlock() {
-  if (!tas_) {
+  if (!waiters_.tas()) {
     q_.unlock();
     return;
   }
   Platform& p = sched_.platform();
   p.lock(spin_);
   MPNJ_CHECK(held_, "Mutex::unlock of an unheld mutex");
-  if (waiters_.empty()) {
-    held_ = false;
-    p.unlock(spin_);
-    return;
-  }
-  ThreadState next = std::move(waiters_.front());
-  waiters_.pop_front();
+  QNode* next = waiters_.pop();
+  if (next == nullptr) held_ = false;
   p.unlock(spin_);
-  MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-  sched_.reschedule(std::move(next));  // handoff: held_ remains true
+  if (next != nullptr) waiters_.grant(sched_, *next);  // held_ stays true
 }
 
 bool Mutex::held() const {
-  if (!tas_) return q_.held();
+  if (!waiters_.tas()) return q_.held();
   Platform& p = sched_.platform();
   p.lock(spin_);
   const bool h = held_;
@@ -113,86 +67,42 @@ bool Mutex::held() const {
 
 // ----- CondVar -----
 
-CondVar::CondVar(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
+CondVar::CondVar(Scheduler& sched) : sched_(sched) {
   spin_ = sched_.platform().mutex_lock();
 }
 
 void CondVar::wait(Mutex& m) {
   MPNJ_CHECK(m.held(), "CondVar::wait without the monitor held");
+  // The claim is enqueued before the monitor is released, so a signal that
+  // follows the release always finds it; the signaler never touches the
+  // monitor, so there is no lock-order cycle.
   Platform& p = sched_.platform();
-  if (!tas_) {
-    // Enqueue the claim while still inside the monitor, release the monitor
-    // on this frame, then wait.  A signal landing between the unlock and
-    // the park simply grants the claim early and claim_wait returns without
-    // parking; one landing before the unlock is also fine — the signaler
-    // never touches the monitor, so there is no lock-order cycle.
-    QNode n;
-    p.lock(spin_);
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    m.unlock();
-    claim_wait(sched_, n);
-    m.lock();
-    return;
-  }
-  // Baseline protocol: enqueue first, release the monitor second, both from
-  // the park callback.  The callback runs on a fresh segment after this
-  // frame is sealed (cont/cont.h), so by the time m.unlock() can hand the
-  // monitor onward — even if the new owner signals immediately and the
-  // signal races our park — our ThreadState is already on the queue and a
-  // resume can only happen after the callback returns into the dispatcher.
-  // Audited interleavings in docs/SYNC.md; pinned by the TSan stress test.
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    p.lock(spin_);
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-    m.unlock();
-  });
+  QNode n;
+  p.lock(spin_);
+  waiters_.park(sched_, spin_, n, [&] { m.unlock(); });
   m.lock();
 }
 
 void CondVar::signal() {
   Platform& p = sched_.platform();
-  if (!tas_) {
-    p.lock(spin_);
-    QNode* n = qwaiters_.pop();
-    p.unlock(spin_);
-    if (n != nullptr) claim_grant(sched_, *n);
-    return;
-  }
   p.lock(spin_);
-  if (waiters_.empty()) {
-    p.unlock(spin_);
-    return;
-  }
-  ThreadState t = std::move(waiters_.front());
-  waiters_.pop_front();
+  QNode* n = waiters_.pop();
   p.unlock(spin_);
-  sched_.reschedule(std::move(t));
+  if (n != nullptr) waiters_.grant(sched_, *n);
 }
 
 void CondVar::broadcast() {
   Platform& p = sched_.platform();
-  if (!tas_) {
-    p.lock(spin_);
-    WaitList batch = qwaiters_.take();
-    p.unlock(spin_);
-    QNode* n;
-    while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-    return;
-  }
   p.lock(spin_);
-  std::deque<ThreadState> woken;
-  woken.swap(waiters_);
+  Waiters batch = waiters_.take();
   p.unlock(spin_);
-  for (auto& t : woken) sched_.reschedule(std::move(t));
+  batch.grant_all(sched_);
 }
 
 // ----- Barrier -----
 
 Barrier::Barrier(Scheduler& sched, int parties)
-    : sched_(sched), tas_(use_tas()), parties_(parties) {
+    : sched_(sched), parties_(parties) {
   spin_ = sched_.platform().mutex_lock();
 }
 
@@ -202,56 +112,33 @@ void Barrier::arrive_and_wait() {
   const long gen = generation_;
   if (++waiting_ == parties_) {
     waiting_ = 0;
-    generation_++;
-    if (!tas_) {
-      WaitList batch = qwaiters_.take();
-      const long released = generation_;
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) {
-        // Stamp the releasing generation before the grant; the waiter
-        // checks it was freed by its own episode's flip.
-        n->tag = released;
-        if (fuzz::injected(fuzz::InjectedBug::kBarrierGeneration)) {
-          // Deliberately re-introduced bug (MPNJ_FUZZ_INJECT): stamp the
-          // pre-flip generation, as if the flip forgot to advance before
-          // releasing.  Every released waiter's reuse guard then trips.
-          n->tag = released - 1;
-        }
-        claim_grant(sched_, *n);
+    const long released = ++generation_;
+    Waiters batch = waiters_.take();
+    p.unlock(spin_);
+    while (QNode* n = batch.pop()) {
+      // Stamp the releasing generation before the grant; the waiter
+      // checks it was freed by its own episode's flip.
+      n->tag = released;
+      if (fuzz::injected(fuzz::InjectedBug::kBarrierGeneration)) {
+        // Deliberately re-introduced bug (MPNJ_FUZZ_INJECT): stamp the
+        // pre-flip generation, as if the flip forgot to advance before
+        // releasing.  Every released waiter's reuse guard then trips.
+        n->tag = released - 1;
       }
-      return;
+      batch.grant(sched_, *n);
     }
-    std::deque<ThreadState> woken;
-    woken.swap(waiters_);
-    p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    MPNJ_CHECK(n.tag == gen + 1,
-               "Barrier waiter resumed outside its own generation");
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
-  // Reuse guard: only the flip of our own episode may have freed us.
-  p.lock(spin_);
-  MPNJ_CHECK(generation_ > gen, "Barrier waiter resumed before its release");
-  p.unlock(spin_);
+  QNode n;
+  waiters_.park(sched_, spin_, n);
+  MPNJ_CHECK(n.tag == gen + 1,
+             "Barrier waiter resumed outside its own generation");
 }
 
 // ----- Semaphore -----
 
 Semaphore::Semaphore(Scheduler& sched, long initial)
-    : sched_(sched), tas_(use_tas()), count_(initial) {
+    : sched_(sched), count_(initial) {
   MPNJ_CHECK(initial >= 0, "Semaphore initialized with a negative count");
   spin_ = sched_.platform().mutex_lock();
 }
@@ -264,18 +151,8 @@ void Semaphore::acquire() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);  // the permit passed to us with the grant
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  waiters_.park(sched_, spin_, n);  // the permit passed to us with the grant
 }
 
 bool Semaphore::try_acquire() {
@@ -291,59 +168,34 @@ void Semaphore::release() {
   Platform& p = sched_.platform();
   p.lock(spin_);
   MPNJ_CHECK(count_ >= 0, "Semaphore count went negative");
-  if (!tas_) {
-    QNode* n = qwaiters_.pop();
-    if (n != nullptr) {
-      MPNJ_CHECK(count_ == 0, "Semaphore waiter parked with permits free");
-      p.unlock(spin_);
-      claim_grant(sched_, *n);  // the permit passes to the waiter
-      return;
-    }
+  QNode* n = waiters_.pop();
+  if (n == nullptr) {
     count_++;
     p.unlock(spin_);
     return;
   }
-  if (!waiters_.empty()) {
-    ThreadState t = std::move(waiters_.front());
-    waiters_.pop_front();
-    p.unlock(spin_);
-    MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-    sched_.reschedule(std::move(t));  // the permit passes to the waiter
-    return;
-  }
-  count_++;
+  MPNJ_CHECK(count_ == 0, "Semaphore waiter parked with permits free");
   p.unlock(spin_);
+  waiters_.grant(sched_, *n);  // the permit passes to the waiter
 }
 
 // ----- RWLock -----
 
-RWLock::RWLock(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
+RWLock::RWLock(Scheduler& sched) : sched_(sched) {
   spin_ = sched_.platform().mutex_lock();
 }
 
 void RWLock::lock_shared() {
   Platform& p = sched_.platform();
   p.lock(spin_);
-  const bool writers_queued =
-      tas_ ? !write_waiters_.empty() : !qwrite_waiters_.empty();
-  if (!writer_ && !writers_queued) {
+  if (!writer_ && write_waiters_.empty()) {
     readers_++;
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qread_waiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;  // the granter already counted us as a reader
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    read_waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
-  // Resumed by a releasing writer, which already counted us as a reader.
+  QNode n;
+  read_waiters_.park(sched_, spin_, n);
+  // Granted by a releasing writer, which already counted us as a reader.
 }
 
 void RWLock::unlock_shared() {
@@ -351,26 +203,10 @@ void RWLock::unlock_shared() {
   p.lock(spin_);
   MPNJ_CHECK(readers_ > 0, "RWLock::unlock_shared without a shared hold");
   MPNJ_CHECK(!writer_, "RWLock held shared and exclusive at once");
-  if (--readers_ == 0) {
-    if (!tas_) {
-      QNode* w = qwrite_waiters_.pop();
-      if (w != nullptr) {
-        writer_ = true;
-        p.unlock(spin_);
-        claim_grant(sched_, *w);
-        return;
-      }
-    } else if (!write_waiters_.empty()) {
-      ThreadState w = std::move(write_waiters_.front());
-      write_waiters_.pop_front();
-      writer_ = true;
-      p.unlock(spin_);
-      MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-      sched_.reschedule(std::move(w));
-      return;
-    }
-  }
+  QNode* w = --readers_ == 0 ? write_waiters_.pop() : nullptr;
+  if (w != nullptr) writer_ = true;
   p.unlock(spin_);
+  if (w != nullptr) write_waiters_.grant(sched_, *w);
 }
 
 void RWLock::lock_exclusive() {
@@ -381,18 +217,8 @@ void RWLock::lock_exclusive() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwrite_waiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;  // the granter set writer_ on our behalf
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    write_waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  write_waiters_.park(sched_, spin_, n);  // the granter set writer_ for us
 }
 
 void RWLock::unlock_exclusive() {
@@ -400,50 +226,26 @@ void RWLock::unlock_exclusive() {
   p.lock(spin_);
   MPNJ_CHECK(writer_, "RWLock::unlock_exclusive without the exclusive hold");
   MPNJ_CHECK(readers_ == 0, "RWLock held shared and exclusive at once");
-  if (!tas_) {
-    // Phase-fair: the reader batch that accumulated behind this writer goes
-    // first, then the next writer — neither side starves.
-    if (!qread_waiters_.empty()) {
-      writer_ = false;
-      WaitList batch = qread_waiters_.take();
-      readers_ += batch.size();
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-      return;
-    }
-    QNode* w = qwrite_waiters_.pop();
-    if (w != nullptr) {
-      // writer_ stays true: direct handoff to the next writer.
-      p.unlock(spin_);
-      claim_grant(sched_, *w);
-      return;
-    }
+  // Phase-fair: the reader batch that accumulated behind this writer goes
+  // first, then the next writer — neither side starves.
+  if (!read_waiters_.empty()) {
     writer_ = false;
+    Waiters batch = read_waiters_.take();
+    readers_ += batch.size();
     p.unlock(spin_);
+    batch.grant_all(sched_);
     return;
   }
-  if (!write_waiters_.empty()) {
-    ThreadState w = std::move(write_waiters_.front());
-    write_waiters_.pop_front();
-    // writer_ stays true: direct handoff to the next writer.
-    p.unlock(spin_);
-    MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-    sched_.reschedule(std::move(w));
-    return;
-  }
-  writer_ = false;
-  std::deque<ThreadState> woken;
-  woken.swap(read_waiters_);
-  readers_ += static_cast<int>(woken.size());
+  QNode* w = write_waiters_.pop();
+  if (w == nullptr) writer_ = false;  // else a direct writer-to-writer handoff
   p.unlock(spin_);
-  for (auto& t : woken) sched_.reschedule(std::move(t));
+  if (w != nullptr) write_waiters_.grant(sched_, *w);
 }
 
 // ----- CountdownLatch -----
 
 CountdownLatch::CountdownLatch(Scheduler& sched, long count)
-    : sched_(sched), tas_(use_tas()), count_(count) {
+    : sched_(sched), count_(count) {
   MPNJ_CHECK(count >= 0, "CountdownLatch initialized with a negative count");
   spin_ = sched_.platform().mutex_lock();
 }
@@ -452,20 +254,15 @@ void CountdownLatch::count_down() {
   Platform& p = sched_.platform();
   p.lock(spin_);
   if (count_ > 0 && --count_ == 0) {
-    if (!tas_) {
-      WaitList batch = qwaiters_.take();
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-      return;
-    }
-    std::deque<ThreadState> woken;
-    woken.swap(waiters_);
+    Waiters batch = waiters_.take();
+    // An awaiter that finds the count at zero may free the latch as soon as
+    // the guard drops, so nothing below may touch *this.
+    Scheduler& sched = sched_;
     p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
+    batch.grant_all(sched);
     return;
   }
-  MPNJ_CHECK(count_ > 0 || (qwaiters_.empty() && waiters_.empty()),
+  MPNJ_CHECK(count_ > 0 || waiters_.empty(),
              "CountdownLatch waiters survived the release");
   p.unlock(spin_);
 }
@@ -477,18 +274,8 @@ void CountdownLatch::await() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  waiters_.park(sched_, spin_, n);
 }
 
 long CountdownLatch::remaining() {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <deque>
-
 #include "threads/qlock.h"
 #include "threads/scheduler.h"
 
@@ -12,38 +10,25 @@
 // first-class continuations").  Parked threads cost nothing and their proc
 // runs other work; a release hands ownership to a waiter directly.
 //
-// Two lock disciplines implement that contract (docs/SYNC.md):
+// Every primitive has one body: a platform spin guard around its own
+// counters, plus a qlock.h Waiters set that parks and grants claims.  The
+// lock discipline (set_lock_discipline, docs/SYNC.md) is a policy of that
+// set, sampled when the primitive is constructed:
 //
-//   queue (default) — the MCS-style claim/release core of qlock.h.  Each
-//     waiter owns a cache-line-padded claim node, joins with one RMW, spins
-//     briefly on its own flag and then parks through the scheduler, and
-//     each release grants the head claim directly: FIFO-fair across procs,
-//     no shared spin word, no proc ever burned on a waiter.  The RWLock is
-//     phase-fair in this mode: a releasing writer admits the whole waiting
-//     reader batch before the next writer.
+//   queue (default) — claims spin briefly on their own padded node, then
+//     park; a release grants the head claim directly.  FIFO-fair across
+//     procs, no shared spin word, no proc ever burned on a waiter.
 //
-//   tas — the paper's protocol kept as the ablation baseline (MPNJ_LOCK=tas):
-//     state guarded by a platform test-and-set MutexLock (Anderson backoff
-//     per the platform's lock_backoff knob), waiters parked on a deque.
-//     The RWLock is writer-preferring in this mode.
+//   tas — the paper's protocol, kept as the ablation baseline: a blocked
+//     thread enqueues itself and drops the guard inside the suspend
+//     callback (Figure 5), and a release reschedules it.
 //
-// The discipline is chosen once per primitive at construction from
-// MPNJ_LOCK (or set_lock_discipline), mirroring the MPNJ_QUEUE knob.
+// Mutex is the one primitive whose body differs by discipline: queue uses
+// the MCS QueueLock, tas a guarded held flag plus a Waiters set.  The
+// RWLock is phase-fair under both: a releasing writer admits the whole
+// waiting reader batch before the next writer.
 
 namespace mp::threads {
-
-// Which waiting protocol newly constructed primitives use.
-enum class LockDiscipline {
-  kQueue,  // qlock.h claim/release core (default)
-  kTas,    // paper baseline: test-and-set guard + Anderson backoff
-};
-
-// Process-wide discipline: MPNJ_LOCK=tas|queue in the environment, else
-// kQueue.  set_lock_discipline overrides the environment (benches, tests);
-// primitives sample the discipline in their constructor, so flipping it
-// does not affect live objects.
-LockDiscipline lock_discipline();
-void set_lock_discipline(LockDiscipline d);
 
 // Blocking mutual exclusion with direct ownership handoff to the longest
 // waiting thread.
@@ -60,13 +45,10 @@ class Mutex {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
-  // queue discipline: the lock is the claim queue.
-  QueueLock q_;
-  // tas discipline: spin-guarded state + parked waiters.
-  MutexLock spin_;
+  Waiters waiters_;  // tas form's parked claims; also names the discipline
+  QueueLock q_;      // queue form: the lock is the claim queue
+  MutexLock spin_;   // tas form: guards held_ and waiters_
   bool held_ = false;
-  std::deque<ThreadState> waiters_;
 };
 
 // Condition variable paired with Mutex (Mesa semantics: re-lock after wake,
@@ -80,10 +62,8 @@ class CondVar {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
-  MutexLock spin_;  // guards the waiter queue in both disciplines
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  MutexLock spin_;
+  Waiters waiters_;
 };
 
 // Cyclic barrier for `parties` threads.  Safe to reuse immediately: each
@@ -97,13 +77,11 @@ class Barrier {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   int parties_;
   int waiting_ = 0;
   long generation_ = 0;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  Waiters waiters_;
 };
 
 // Counting semaphore.
@@ -116,17 +94,14 @@ class Semaphore {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   long count_;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  Waiters waiters_;
 };
 
-// Reader/writer lock.  Queue discipline: phase-fair — once a writer is
-// queued new readers wait, and a releasing writer admits the entire waiting
-// reader batch before the next writer, so neither side starves.  Tas
-// discipline (paper baseline): writer-preferring.
+// Reader/writer lock, phase-fair: once a writer is queued new readers
+// wait, and a releasing writer admits the entire waiting reader batch
+// before the next writer, so neither side starves.
 class RWLock {
  public:
   explicit RWLock(Scheduler& sched);
@@ -137,14 +112,11 @@ class RWLock {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   int readers_ = 0;
   bool writer_ = false;
-  WaitList qread_waiters_;
-  WaitList qwrite_waiters_;
-  std::deque<ThreadState> read_waiters_;
-  std::deque<ThreadState> write_waiters_;
+  Waiters read_waiters_;
+  Waiters write_waiters_;
 };
 
 // One-shot countdown latch: await() returns once count_down() has been
@@ -158,11 +130,9 @@ class CountdownLatch {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   long count_;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  Waiters waiters_;
 };
 
 }  // namespace mp::threads

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -359,11 +360,11 @@ TEST_P(CmlTest, MailboxSendNeverBlocksAndRecvDrainsInOrder) {
     for (std::uint64_t i = 0; i < 100; i++) mb.send(i);
     EXPECT_EQ(mb.size(), 100u);
     for (std::uint64_t i = 0; i < 100; i++) EXPECT_EQ(mb.recv(), i);
-    std::uint64_t v = 0;
-    EXPECT_FALSE(mb.try_recv(&v));
+    EXPECT_FALSE(mb.try_recv().has_value());
     mb.send(7);
-    ASSERT_TRUE(mb.try_recv(&v));
-    EXPECT_EQ(v, 7u);
+    const std::optional<std::uint64_t> got = mb.try_recv();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, 7u);
   });
 }
 

@@ -404,7 +404,7 @@ TEST_P(ExtTest, MailboxCarriesGcValues) {
       r[0] = h.alloc_record({mp::gc::Value::from_int(i)});
       mb.send(r[0]);
     }
-    h.collect_now();  // everything queued must survive via PayloadSlot roots
+    h.collect_now();  // everything queued must survive via its Payload root
     for (int i = 0; i < 40; i++) {
       mp::gc::Roots<1> r;
       r[0] = mb.recv();

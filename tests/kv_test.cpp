@@ -24,6 +24,7 @@
 #include "kv/service.h"
 #include "kv/store.h"
 #include "metrics/metrics.h"
+#include "mp/mp.h"  // with kv/service.h: one cml::Mailbox for both
 #include "mp/native_platform.h"
 #include "mp/sim_platform.h"
 #include "mp/uni_platform.h"
@@ -347,7 +348,8 @@ TEST(ShardStore, RangeIsInclusiveSortedAndLimited) {
 TEST(ShardStore, DeterministicAcrossInstancesWithTheSameSeed) {
   ShardStore a(99), b(99);
   for (int i = 0; i < 500; i++) {
-    const std::string k = "k" + std::to_string(i);
+    std::string k = "k";  // not "k" + to_string: GCC 12 -O3 -Wrestrict
+    k += std::to_string(i);
     a.set(k, k);
     b.set(k, k);
   }

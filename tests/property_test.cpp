@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,13 @@ struct SweepCase {
   std::string workload;
   int procs;
 };
+
+// Without a printer gtest dumps the raw bytes, and the std::string's data
+// pointer (a heap address, randomised per run) would land in the test names
+// that gtest_discover_tests records.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.workload << " on " << c.procs << " procs";
+}
 
 class WorkloadSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,10 +1,11 @@
-// Sync-layer stress suite (the PR-6 bug sweep): no-lost-wakeup property
-// tests for all six primitives at high thread:proc ratios (64 threads on 4
-// procs) on both backends and both lock disciplines, the barrier
-// reuse-across-generations regression, a CondVar signal/broadcast stress
-// that pins the suspend-callback monitor-release ordering under TSan, the
-// panic paths of the new invariant checks, and bit-reproducibility of
-// lock-bound sim runs under the queue discipline.
+// Sync-layer stress suite: no-lost-wakeup property tests for the six
+// primitives and the cml cells (IVar, MVar, Mailbox) at high thread:proc
+// ratios (64 threads on 4 procs) on both backends and both lock
+// disciplines, the barrier reuse-across-generations regression, a CondVar
+// signal/broadcast stress that pins the suspend-callback monitor-release
+// ordering under TSan, the RWLock's phase-fair admission order, the panic
+// paths of the invariant checks, and bit-reproducibility of lock-bound sim
+// runs under both disciplines.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "cml/sync_cells.h"
 #include "mp/native_platform.h"
 #include "mp/sim_platform.h"
 #include "threads/scheduler.h"
@@ -22,6 +24,9 @@
 
 namespace {
 
+using mp::cml::IVar;
+using mp::cml::Mailbox;
+using mp::cml::MVar;
 using mp::threads::Barrier;
 using mp::threads::CondVar;
 using mp::threads::CountdownLatch;
@@ -378,6 +383,100 @@ TEST_P(SyncStress, LatchFreesAllWaitersOnlyAtZero) {
   EXPECT_EQ(released.load(), kWaiters);
 }
 
+// ---------- the cml cells: same waiter set, same property ----------
+
+TEST_P(SyncStress, IVarWakesEveryReader) {
+  constexpr int kRounds = 20;
+  constexpr int kReaders = kThreads - 1;
+  auto p = make();
+  std::atomic<long> sum{0};
+  Scheduler::run(*p, {}, [&](Scheduler& s) {
+    std::vector<std::unique_ptr<IVar<long>>> cells;
+    for (int r = 0; r < kRounds; r++) {
+      cells.push_back(std::make_unique<IVar<long>>(s));
+    }
+    CountdownLatch done(s, kReaders);
+    for (int t = 0; t < kReaders; t++) {
+      s.fork([&] {
+        for (const auto& cell : cells) sum.fetch_add(cell->get());
+        done.count_down();
+      });
+    }
+    s.fork([&] {
+      for (int r = 0; r < kRounds; r++) {
+        for (int i = 0; i < 3; i++) s.yield();  // let readers park
+        cells[static_cast<std::size_t>(r)]->put(r + 1);
+      }
+    });
+    done.await();
+  });
+  EXPECT_EQ(sum.load(),
+            static_cast<long>(kReaders) * kRounds * (kRounds + 1) / 2);
+}
+
+TEST_P(SyncStress, MVarHandsEveryValueOverOnce) {
+  constexpr int kPairs = kThreads / 2;
+  constexpr int kPer = 30;
+  auto p = make();
+  std::atomic<long> taken_sum{0};
+  std::atomic<int> taken{0};
+  Scheduler::run(*p, {}, [&](Scheduler& s) {
+    MVar<long> mv(s);
+    CountdownLatch done(s, kThreads);
+    for (int t = 0; t < kPairs; t++) {
+      s.fork([&, t] {
+        for (int i = 0; i < kPer; i++) mv.put(t * kPer + i);
+        done.count_down();
+      });
+      s.fork([&] {
+        for (int i = 0; i < kPer; i++) {
+          taken_sum.fetch_add(mv.take());
+          taken.fetch_add(1, std::memory_order_relaxed);
+        }
+        done.count_down();
+      });
+    }
+    done.await();
+    EXPECT_FALSE(mv.try_take().has_value());
+  });
+  constexpr long kValues = static_cast<long>(kPairs) * kPer;
+  EXPECT_EQ(taken.load(), kValues);
+  EXPECT_EQ(taken_sum.load(), kValues * (kValues - 1) / 2);
+}
+
+TEST_P(SyncStress, MailboxDeliversEveryMessageOnce) {
+  constexpr int kSenders = kThreads / 2;
+  constexpr int kReceivers = kThreads / 2;
+  constexpr int kPer = 40;
+  auto p = make();
+  std::atomic<long> received_sum{0};
+  Scheduler::run(*p, {}, [&](Scheduler& s) {
+    Mailbox<long> mb(s);
+    CountdownLatch done(s, kThreads);
+    // Receivers first, so most of them park on an empty mailbox.
+    for (int t = 0; t < kReceivers; t++) {
+      s.fork([&] {
+        for (int i = 0; i < kPer; i++) received_sum.fetch_add(mb.recv());
+        done.count_down();
+      });
+    }
+    for (int t = 0; t < kSenders; t++) {
+      s.fork([&, t] {
+        for (int i = 0; i < kPer; i++) {
+          mb.send(t * kPer + i);
+          if (i % 8 == 0) s.yield();
+        }
+        done.count_down();
+      });
+    }
+    done.await();
+    EXPECT_FALSE(mb.try_recv().has_value());
+    EXPECT_EQ(mb.size(), 0u);
+  });
+  constexpr long kValues = static_cast<long>(kSenders) * kPer;
+  EXPECT_EQ(received_sum.load(), kValues * (kValues - 1) / 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndDisciplines, SyncStress,
     ::testing::Combine(::testing::Values(Backend::kSim, Backend::kNative),
@@ -413,15 +512,74 @@ double contended_sim_total_us() {
   return platform.report().total_us;
 }
 
-TEST(SyncSimDeterminism, QueueLockTracesBitReproducible) {
+void expect_bit_reproducible(LockDiscipline d) {
   const LockDiscipline saved = mp::threads::lock_discipline();
-  mp::threads::set_lock_discipline(LockDiscipline::kQueue);
+  mp::threads::set_lock_discipline(d);
   const double a = contended_sim_total_us();
   const double b = contended_sim_total_us();
   mp::threads::set_lock_discipline(saved);
   EXPECT_EQ(a, b);  // bitwise: same config, same virtual-time trace
   EXPECT_GT(a, 0);
 }
+
+TEST(SyncSimDeterminism, QueueLockTracesBitReproducible) {
+  expect_bit_reproducible(LockDiscipline::kQueue);
+}
+
+TEST(SyncSimDeterminism, TasLockTracesBitReproducible) {
+  expect_bit_reproducible(LockDiscipline::kTas);
+}
+
+// ---------- RWLock admission order (phase-fair under both) ----------
+//
+// One sim proc and no preemption make the interleaving exact: a writer
+// holds, a reader queues behind it, then a writer queues behind the
+// reader.  The release must admit the reader first, whatever the
+// discipline.
+
+class RWLockOrder : public ::testing::TestWithParam<LockDiscipline> {};
+
+TEST_P(RWLockOrder, ReleasingWriterAdmitsQueuedReaderFirst) {
+  const LockDiscipline saved = mp::threads::lock_discipline();
+  mp::threads::set_lock_discipline(GetParam());
+  mp::SimPlatformConfig cfg;
+  cfg.machine = mp::sim::sequent_s81(1);
+  mp::SimPlatform platform(cfg);
+  std::string order;
+  Scheduler::run(platform, {}, [&](Scheduler& s) {
+    RWLock rw(s);
+    CountdownLatch done(s, 2);
+    bool reader_queued = false, writer_queued = false;
+    rw.lock_exclusive();
+    s.fork([&] {
+      reader_queued = true;  // runs straight into the park: one proc
+      rw.lock_shared();
+      order += 'r';
+      rw.unlock_shared();
+      done.count_down();
+    });
+    while (!reader_queued) s.yield();
+    s.fork([&] {
+      writer_queued = true;
+      rw.lock_exclusive();
+      order += 'w';
+      rw.unlock_exclusive();
+      done.count_down();
+    });
+    while (!writer_queued) s.yield();
+    rw.unlock_exclusive();
+    done.await();
+  });
+  mp::threads::set_lock_discipline(saved);
+  EXPECT_EQ(order, "rw");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Disciplines, RWLockOrder,
+    ::testing::Values(LockDiscipline::kQueue, LockDiscipline::kTas),
+    [](const ::testing::TestParamInfo<LockDiscipline>& i) {
+      return std::string(i.param == LockDiscipline::kQueue ? "Queue" : "Tas");
+    });
 
 // ---------- the invariant checks actually fire ----------
 
