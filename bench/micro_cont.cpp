@@ -38,15 +38,16 @@ class ManualProc {
   mp::arch::Context idle_ctx_;
 };
 
-int sink_value = 0;
-__attribute__((noinline)) int plain_callee(int x) {
+// Unsigned, so the accumulators wrap instead of overflowing (UB).
+unsigned sink_value = 0;
+__attribute__((noinline)) unsigned plain_callee(unsigned x) {
   benchmark::DoNotOptimize(sink_value += x);
   return x + 1;
 }
 
 void BM_IndirectCall(benchmark::State& state) {
-  int (*volatile fn)(int) = plain_callee;
-  int acc = 0;
+  unsigned (*volatile fn)(unsigned) = plain_callee;
+  unsigned acc = 0;
   for (auto _ : state) {
     acc += fn(acc);
   }

@@ -225,32 +225,15 @@ class Event {
     p.mask_signal(Sig::kPreempt);
     const std::uint64_t raw = cont::callcc<std::uint64_t>(
         [&](cont::Cont<std::uint64_t> k) -> std::uint64_t {
-          const int tid = sched.id();
-          // Randomized polling order.
-          std::vector<std::size_t> order(bases_.size());
-          for (std::size_t i = 0; i < order.size(); i++) order[i] = i;
-          for (std::size_t i = order.size(); i > 1; i--) {
-            std::swap(order[i - 1], order[p.rng().below(i)]);
-          }
-          for (const std::size_t i : order) {
-            std::uint64_t out = 0;
-            const auto oc = bases_[i].attempt(sched, own, static_cast<int>(i),
-                                              tid, k.ref(), &out);
-            if (oc == detail::Outcome::kCommitted) {
-              immediate_base = static_cast<int>(i);
-              // No safe point between here and the implicit throw: `out`
-              // may be an unrooted heap value.
-              return out;
-            }
-            if (oc == detail::Outcome::kDead) {
-              // A partner committed one of our parked offers while we were
-              // scanning; our continuation is (or will be) on the ready
-              // queue with the payload preloaded.
-              own->offers_done.store(true, std::memory_order_release);
-              sched.dispatch_from_blocked();
-            }
-          }
-          // Every base parked an offer: give up the proc.
+          std::uint64_t out = 0;
+          immediate_base = offer(sched, own, std::move(k).take_ref(), &out);
+          // No safe point between a commit and the implicit throw: `out`
+          // may be an unrooted heap value.
+          if (immediate_base >= 0) return out;
+          // Every base parked an offer, or a partner committed one of them
+          // while we were scanning (our continuation is, or will be, on the
+          // ready queue with the payload preloaded): give up the proc.
+          // This frame owns nothing now; the dispatch abandons it.
           own->offers_done.store(true, std::memory_order_release);
           sched.dispatch_from_blocked();
         });
@@ -284,6 +267,30 @@ class Event {
         attempt;
     std::function<T(std::uint64_t)> convert;
   };
+
+  // One offering pass of sync: polls the bases in pseudo-random order,
+  // returning the index of the first that commits immediately (its payload
+  // in *out), or -1 once every base parked an offer or one reported this
+  // sync dead.  The polling order and `k` die with this frame, before sync's
+  // body dispatches.
+  int offer(threads::Scheduler& sched,
+            const std::shared_ptr<detail::EventState>& own, cont::ContRef k,
+            std::uint64_t* out) {
+    Platform& p = sched.platform();
+    const int tid = sched.id();
+    std::vector<std::size_t> order(bases_.size());
+    for (std::size_t i = 0; i < order.size(); i++) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; i--) {
+      std::swap(order[i - 1], order[p.rng().below(i)]);
+    }
+    for (const std::size_t i : order) {
+      const auto oc =
+          bases_[i].attempt(sched, own, static_cast<int>(i), tid, k, out);
+      if (oc == detail::Outcome::kCommitted) return static_cast<int>(i);
+      if (oc == detail::Outcome::kDead) return -1;
+    }
+    return -1;
+  }
 
   std::vector<Base> bases_;
 };

@@ -4,6 +4,7 @@
 
 #include "arch/fiber_san.h"
 #include "arch/tas.h"
+#include "metrics/metrics.h"
 
 namespace mp::cont {
 
@@ -50,13 +51,13 @@ class RegistryGuard {
 // Cached continuation cores a proc may keep for reuse.
 constexpr int kCoreCacheCap = 64;
 
-// The internal unwind raised by throw_to / fire_preloaded / exit_to_idle.
-// Deliberately not derived from std::exception: catching it with `catch
-// (...)` and not rethrowing is a client bug (it would bypass the segment
-// trampoline), which the trampoline's escape check turns into a panic.
+// The internal unwind raised by throw_to / fire_preloaded / exit_to_idle,
+// which client code may call with live RAII frames.  Deliberately not
+// derived from std::exception: catching it with `catch (...)` and not
+// rethrowing is a client bug (it would bypass the segment trampoline), which
+// the trampoline's escape check turns into a panic.
 struct AbandonUnwind {
-  bool to_idle = false;
-  ContRef target;  // PRELOADED continuation to resume (when !to_idle)
+  ContRef target;  // PRELOADED continuation to resume; null: the idle loop
 };
 
 // Completes the sanitizer side of a fiber switch on arrival.  When this
@@ -75,6 +76,13 @@ void san_arrive(void* fake_restore) {
       ex->san_from_idle = false;
     }
   }
+}
+
+// fire / switch_to preconditions: a live PRELOADED continuation.
+void check_fireable(const ContRef& k) {
+  MPNJ_CHECK(k.get() != nullptr, "fire of a null continuation");
+  MPNJ_CHECK(k.get()->state() == ContCore::State::kPreloaded,
+             "continuation fired twice or fired without a value");
 }
 
 }  // namespace
@@ -200,14 +208,22 @@ std::uint64_t ContOps::seal_and_switch(ContRef sealed, StackSegment* fresh) {
 }
 
 [[noreturn]] void ContOps::fire(ContRef k) {
-  MPNJ_CHECK(k.get() != nullptr, "fire of a null continuation");
-  MPNJ_CHECK(k.get()->state() == ContCore::State::kPreloaded,
-             "continuation fired twice or fired without a value");
-  throw AbandonUnwind{/*to_idle=*/false, std::move(k)};
+  check_fireable(k);
+  MPNJ_METRIC_COUNT(kContUnwinds, 1);
+  throw AbandonUnwind{std::move(k)};
 }
 
 [[noreturn]] void ContOps::to_idle() {
-  throw AbandonUnwind{/*to_idle=*/true, {}};
+  MPNJ_METRIC_COUNT(kContUnwinds, 1);
+  throw AbandonUnwind{};
+}
+
+[[noreturn]] void ContOps::switch_to(ContRef k) {
+  check_fireable(k);
+  // The record is the only owner among the frames this switch abandons;
+  // the trampoline below them never runs again.
+  current_exec()->seg->destroy_boot_record();
+  resume_target(std::move(k));
 }
 
 [[noreturn]] void ContOps::resume_target(ContRef k) {
@@ -260,31 +276,20 @@ std::uint64_t ContOps::seal_and_switch(ContRef sealed, StackSegment* fresh) {
   // because abandoned frames are reclaimed without unwinding.  The segment's
   // recycle path destroys the record in that case.
   auto* rec = static_cast<BootRecord*>(seg->boot_record);
-  ContRef fire_target;
-  bool to_idle = false;
+  ContRef next;
   try {
-    rec->run();
-    arch::panic("callcc body escaped without transferring control");
+    next = rec->run();
   } catch (AbandonUnwind& u) {
-    to_idle = u.to_idle;
-    fire_target = std::move(u.target);
+    next = std::move(u.target);
   } catch (...) {
     arch::panic("uncaught C++ exception crossed a continuation boundary");
   }
   // Retire the record.  An in-place record lives in the slot's boot area
   // above the range execution uses, so destroying it from this stack is
-  // safe; `boot_record` is cleared first so an overlapping recycle of the
-  // segment cannot double-destroy.
-  const bool inplace = seg->boot_inplace;
-  seg->boot_record = nullptr;
-  seg->boot_inplace = false;
-  if (inplace) {
-    rec->~BootRecord();
-  } else {
-    delete rec;
-  }
-  if (to_idle) ContOps::return_to_idle();
-  ContOps::resume_target(std::move(fire_target));
+  // safe.
+  seg->destroy_boot_record();
+  if (!next) ContOps::return_to_idle();
+  ContOps::resume_target(std::move(next));
 }
 
 StackSegment* acquire_boot_segment(StackClass cls, ContCore* parent) {
@@ -389,10 +394,9 @@ ContRef make_entry(std::function<void()> f, StackClass cls) {
   struct EntryRecord final : detail::BootRecord {
     std::function<void()> f;
     explicit EntryRecord(std::function<void()> fn) : f(std::move(fn)) {}
-    void run() override {
+    ContRef run() override {
       f();
-      // Thread body completed: this proc goes back to its idle loop.
-      detail::ContOps::to_idle();
+      return {};  // thread body completed: back to the idle loop
     }
   };
   StackSegment* seg = detail::boot_segment_make<EntryRecord>(

@@ -37,6 +37,11 @@
 //   * C++ exceptions must not propagate out of a callcc body; doing so
 //     panics.  `throw_to` itself unwinds the abandoned frames (running
 //     destructors) before switching, so RAII in client frames is safe.
+//   * The runtime's own transfers do not unwind: a body's normal return
+//     goes back to the segment's trampoline by a plain return, and a
+//     scheduler dispatch resumes through `switch_to`, which abandons the
+//     frames above the boot record as they stand.  Those frames must own
+//     nothing (docs/STACKS.md, "Transfers").
 
 namespace mp::cont {
 
@@ -179,12 +184,17 @@ namespace detail {
 
 // Type-erased boot record executed by the trampoline at the bottom of a
 // fresh segment.  The SML/NJ analogue is the closure callcc allocates.
+// Everything the frames above it need to outlive a transfer lives here, so
+// a runtime switch (ContOps::switch_to) can retire the record and abandon
+// those frames without unwinding them.
 struct BootRecord {
   virtual ~BootRecord() = default;
-  // Runs the body.  Never returns normally: always exits by raising the
-  // internal abandon-unwind, either firing a continuation or releasing the
-  // proc.
-  virtual void run() = 0;
+  // Runs the body and returns the PRELOADED continuation to resume next —
+  // a callcc body's implicit throw — or null to return the proc to its
+  // idle loop (an entry body that ended).  Transfers made from inside the
+  // body (throw_to, a scheduler dispatch, release_proc) leave it without
+  // returning.
+  virtual ContRef run() = 0;
 };
 
 [[noreturn]] void trampoline(void* seg_arg);
@@ -244,6 +254,9 @@ struct ContOps {
   [[noreturn]] static void fire(ContRef k);
   // Raises the abandon-unwind that returns the proc to its idle loop.
   [[noreturn]] static void to_idle();
+  // Resumes `k` (which must be PRELOADED) without unwinding (see
+  // cont::switch_to).
+  [[noreturn]] static void switch_to(ContRef k);
   // Wraps a freshly booted segment into a PRELOADED entry core.
   static ContRef adopt_entry_segment(StackSegment* seg);
   // Fires `k` from a proc's idle loop; returns when the proc is released.
@@ -289,7 +302,8 @@ class Cont {
 // callcc_on(cls, body): captures the current continuation k, then runs
 // body(k) on a fresh segment of stack class `cls`.  Returns when k is thrown
 // a value — or, if the body returns normally, with the body's own result
-// (delivered by an implicit throw, matching SML semantics for one-shot use).
+// (delivered by an implicit throw, matching SML semantics for one-shot use;
+// the trampoline resumes k directly, with no C++ unwind).
 template <typename T, typename F>
 T callcc_on(StackClass cls, F&& body) {
   static_assert(std::is_invocable_r_v<T, F, Cont<T>>,
@@ -298,15 +312,15 @@ T callcc_on(StackClass cls, F&& body) {
   struct Record final : detail::BootRecord {
     std::decay_t<F> body;
     ContRef k;
-    Record(F&& b, ContRef kk) : body(std::forward<F>(b)), k(std::move(kk)) {}
-    void run() override {
-      Cont<T> typed(std::move(k));
-      ContRef again = typed.ref();  // keep a handle for the implicit throw
-      T result = std::move(body)(std::move(typed));
+    ContRef again;  // the handle for the implicit throw
+    Record(F&& b, ContRef kk)
+        : body(std::forward<F>(b)), k(kk), again(std::move(kk)) {}
+    ContRef run() override {
+      T result = std::move(body)(Cont<T>(std::move(k)));
       // Implicit throw of the body's normal result to the captured
       // continuation; panics if the body already fired it.
       again.get()->preload(detail::encode_slot(result), is_gc_traced<T>::value);
-      detail::ContOps::fire(std::move(again));
+      return std::move(again);
     }
   };
 
@@ -332,10 +346,20 @@ template <typename T>
   detail::ContOps::fire(std::move(k).take_ref());
 }
 
-// Resume a continuation that already had its value delivered via preload().
-// The shape used by schedulers: dequeue a Resumee, fire it.
+// Resume a continuation that already had its value delivered via preload(),
+// unwinding the current frames first like throw_to.
 [[noreturn]] inline void fire_preloaded(ContRef k) {
   detail::ContOps::fire(std::move(k));
+}
+
+// The scheduler's resume: like fire_preloaded, but without the unwind.  The
+// current segment's boot record is retired and the frames above it are
+// abandoned as they stand, so the caller must hold nothing that needs a
+// destructor in any of them — no owning locals, no ContRef, no catch
+// handler.  For runtime dispatch loops only (threads/scheduler.cpp,
+// threads/unithread.h); client code uses throw_to.
+[[noreturn]] inline void switch_to(ContRef k) {
+  detail::ContOps::switch_to(std::move(k));
 }
 
 // Unwind the current thread of control and return this proc to its idle

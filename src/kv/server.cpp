@@ -151,6 +151,7 @@ void serve(KvService& svc, io::Stream in, io::Stream out, ServeOptions opts) {
   std::vector<char> chunk(opts.read_chunk > 0 ? opts.read_chunk : 4096);
   Request req;
   bool quitting = false;
+  std::exception_ptr failure;
   try {
   while (!quitting) {
     std::size_t n = 0;
@@ -275,12 +276,14 @@ void serve(KvService& svc, io::Stream in, io::Stream out, ServeOptions opts) {
   }
   } catch (...) {
     // Unexpected failure mid-connection: run the shutdown handshake before
-    // unwinding (see `finish`), then let the error propagate.
-    finish();
-    throw;
+    // unwinding (see `finish`), then let the error propagate.  The
+    // handshake parks, so it runs after the handler has ended: a thread
+    // must never block inside a catch handler (docs/SCHEDULER.md).
+    failure = std::current_exception();
   }
 
   finish();
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace mp::kv

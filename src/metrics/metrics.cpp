@@ -34,6 +34,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "kv_misses",             "kv_proto_errors",       "kv_conns",
     "stack_commit_bytes",    "stack_decommit_bytes",  "cont_pool_hits",
     "cont_pool_misses",      "cont_pool_recycles",    "cont_pool_decommits",
+    "cont_unwinds",
     "trace_dropped",
 };
 

@@ -118,6 +118,8 @@ enum class Counter : std::uint32_t {
   kContPoolMisses,     // acquisitions that had to commit (carve or cold pop)
   kContPoolRecycles,   // slots returned to a free pool
   kContPoolDecommits,  // slots madvised past the global free target
+  // Continuations (cont/cont.cpp).
+  kContUnwinds,  // abandon-unwinds: throw_to, fire_preloaded, exit_to_idle
   // Scheduling-event tracer (threads/trace.h).
   kTraceDropped,  // trace events overwritten in the ring buffer
   kNumCounters,

@@ -11,8 +11,6 @@ MachineModel sequent_s81(int procs) {
   m.lock_op_instr = 85.0;    // pair ~46 us at 4 MIPS incl. bus transactions
   m.tas_bus_bytes = 4.0;
   m.hardware_lock_bus = false;
-  m.callcc_instr = 40.0;
-  m.throw_instr = 30.0;
   return m;
 }
 
@@ -25,8 +23,6 @@ MachineModel sgi_4d380(int procs) {
   m.lock_op_instr = 58.0;    // pair ~6 us at 20 MIPS
   m.tas_bus_bytes = 0.0;     // lock memory and bus are separate hardware
   m.hardware_lock_bus = true;
-  m.callcc_instr = 30.0;
-  m.throw_instr = 22.0;
   return m;
 }
 

@@ -44,9 +44,8 @@ struct MachineModel {
   // speed; the slice keeps the simulation deterministic and cheap).
   double park_slice_us = 20.0;
 
-  // --- continuations / scheduling ---
-  double callcc_instr = 40.0;      // capture cost (closure allocation)
-  double throw_instr = 30.0;       // resume cost
+  // --- procs and stacks (callcc/throw are priced by the thread package's
+  // threads::SchedCosts, not here) ---
   double proc_acquire_us = 400.0;  // OS call: obtain a kernel thread
   double proc_release_us = 150.0;  // OS call: release the processor
   // Stack-slot pool traffic (cont/segment.h): committing a fresh slot page

@@ -1,6 +1,7 @@
 #include "threads/scheduler.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "arch/panic.h"
 #include "fuzz/hooks.h"
@@ -11,6 +12,19 @@ namespace mp::threads {
 using cont::callcc;
 using cont::Cont;
 using cont::Unit;
+
+namespace {
+// Called by the explicit blocking entry points.  The C++ runtime keeps its
+// stack of caught exceptions per OS thread, not per MLthread: a thread
+// parked inside a catch handler leaves its exception on that stack for
+// whichever thread runs next there, and a `throw;` after resuming on
+// another proc finds the wrong one or none.
+void check_no_live_exception() {
+  MPNJ_CHECK(std::current_exception() == nullptr,
+             "thread blocked inside a catch handler: take "
+             "std::current_exception(), leave the handler, then block");
+}
+}  // namespace
 
 Scheduler::Scheduler(Platform& platform, SchedulerConfig config)
     : plat_(platform), cfg_(std::move(config)) {
@@ -91,7 +105,7 @@ void Scheduler::dispatch() {
       cfg_.tracer->record(plat_, TraceKind::kDispatch, t->id);
     }
     plat_.unmask_signal(Sig::kPreempt);
-    cont::fire_preloaded(std::move(t->k));
+    cont::switch_to(std::move(t->k));
   }
 }
 
@@ -343,6 +357,9 @@ void Scheduler::fork(std::function<void()> child, SpawnOpts opts) {
                                     static_cast<Datum>(parent_id))) {
           reschedule(ThreadState{std::move(parent).take_ref(), parent_id});
         }
+        // Drop this frame's copy: the child's exit dispatches without
+        // unwinding the frame, so nothing in it may own a reference.
+        parent = {};
         // This proc becomes the child thread.
         plat_.lock(next_id_lock_);
         const int my_id = next_id_++;
@@ -398,6 +415,7 @@ void Scheduler::exit_thread() {
 }
 
 void Scheduler::suspend(const std::function<void(ThreadState)>& park) {
+  check_no_live_exception();
   plat_.mask_signal(Sig::kPreempt);
   callcc<Unit>([&, this](Cont<Unit> k) -> Unit {
     const int my_id = static_cast<int>(plat_.get_datum());
@@ -429,6 +447,7 @@ void Scheduler::cancel(ThreadState t) {
 }
 
 void Scheduler::dispatch_from_blocked() {
+  check_no_live_exception();
   plat_.mask_signal(Sig::kPreempt);
   dispatch();
 }

@@ -106,14 +106,12 @@ class Scheduler {
   void yield();
   int id();
 
-  // Terminate the current thread and dispatch another.
-  [[noreturn]] void exit_thread();
-
   // Suspend-and-dispatch support for synchronization primitives (sync.h):
   // park the calling thread, handing its ThreadState to `park` (which
   // typically enqueues it on a waiter list and must release any spin lock it
   // holds), then dispatch another thread.  kPreempt is masked from before
-  // `park` runs until the thread is resumed.
+  // `park` runs until the thread is resumed.  Must not be called inside a
+  // catch handler (checked: see docs/SCHEDULER.md).
   void suspend(const std::function<void(ThreadState)>& park);
 
   // Move a previously suspended thread back to the ready queue.  Matches
@@ -129,7 +127,9 @@ class Scheduler {
   // For communication libraries (src/cml): the calling thread has already
   // parked its continuation on waiter queues of its own (Figure 5's send and
   // receive do this while holding channel locks); give the proc to another
-  // thread.  kPreempt is masked before dispatching.
+  // thread.  kPreempt is masked before dispatching.  Call it from a callcc
+  // body whose frames own nothing: the dispatch abandons them without
+  // unwinding.  Must not be called inside a catch handler (checked).
   [[noreturn]] void dispatch_from_blocked();
 
   // ---- timers (extension: timer-driven wakeups, the mechanism section
@@ -170,7 +170,13 @@ class Scheduler {
     std::function<void()> fn;
   };
 
+  // Resumes the next ready thread directly (cont::switch_to), abandoning
+  // the frames above the current boot record: every caller runs at the top
+  // of a runtime-made callcc body or entry whose frames own nothing.
   [[noreturn]] void dispatch();
+  // Terminate the current thread (the fork wrapper, after the child
+  // returned or was cancelled) and dispatch another.
+  [[noreturn]] void exit_thread();
   void worker_loop();
   void on_preempt();
   void poll_timers(ProcCore& core);

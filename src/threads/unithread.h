@@ -121,16 +121,18 @@ class UniThread {
     cont::set_current_exec(saved);
   }
 
+ private:
   // Dispatch the next ready thread; with an empty queue, control leaves
-  // the package (the analogue of Figure 1's unhandled Queue.Empty).
+  // the package (the analogue of Figure 1's unhandled Queue.Empty).  The
+  // resume is a direct switch (cont::switch_to), so every caller is a
+  // package-made body whose frames own nothing.
   [[noreturn]] void dispatch() {
     if (ready_.empty()) cont::exit_to_idle();
     auto [k, tid] = ready_.deq();
     current_id_ = tid;
-    cont::fire_preloaded(std::move(k));
+    cont::switch_to(std::move(k));
   }
 
- private:
   Queue ready_;
   int current_id_ = 0;
   int next_id_ = 1;
