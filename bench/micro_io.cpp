@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,26 +34,38 @@ void run_procs(int procs, const std::function<void(Scheduler&)>& fn) {
   Scheduler::run(p, {}, fn);
 }
 
-// One byte each way through a bounded in-process pipe: two thread parks and
-// two reschedules per iteration, no kernel involvement.
+// A payload each way through a bounded in-process pipe: two thread parks
+// and two reschedules per iteration, no kernel involvement.  The ring holds
+// at least one whole payload, so /1024 adds four 1 KiB ring copies to /1's
+// switch cost and no extra parks.
 void BM_PipeRoundtrip(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  const std::size_t capacity = std::max<std::size_t>(64, bytes);
   run_procs(1, [&](Scheduler& s) {
-    auto [req_rd, req_wr] = Stream::pipe(s, 64);
-    auto [rep_rd, rep_wr] = Stream::pipe(s, 64);
-    s.fork([rd = req_rd, wr = rep_wr]() mutable {
-      unsigned char b;
-      while (rd.read_some(&b, 1) == 1) wr.write_all(&b, 1);
+    auto [req_rd, req_wr] = Stream::pipe(s, capacity);
+    auto [rep_rd, rep_wr] = Stream::pipe(s, capacity);
+    s.fork([rd = req_rd, wr = rep_wr, bytes]() mutable {
+      std::vector<unsigned char> buf(bytes);
+      for (;;) {
+        const std::size_t n = rd.read_some(buf.data(), buf.size());
+        if (n == 0) break;
+        wr.write_all(buf.data(), n);
+      }
       wr.close();
     });
-    unsigned char b = 7;
+    std::vector<unsigned char> payload(bytes, 7);
+    std::vector<unsigned char> reply(bytes);
     for (auto _ : state) {
-      req_wr.write_all(&b, 1);
-      benchmark::DoNotOptimize(rep_rd.read_some(&b, 1));
+      req_wr.write_all(payload.data(), payload.size());
+      rep_rd.read_exact(reply.data(), reply.size());
+      benchmark::DoNotOptimize(reply.data());
     }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(2 * bytes));
     req_wr.close();
   });
 }
-BENCHMARK(BM_PipeRoundtrip);
+BENCHMARK(BM_PipeRoundtrip)->Arg(1)->Arg(1024);
 
 // Payload echo over loopback TCP: the echoing thread parks on fd readiness,
 // so each iteration pays a full reactor wakeup (epoll + fire + dispatch).

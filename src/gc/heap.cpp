@@ -263,7 +263,7 @@ std::uint64_t* Heap::alloc_raw(ObjKind kind, std::size_t field_words,
                                std::span<Value> rooted_args) {
   const int pid = rendezvous_.cur_proc();
   MPNJ_CHECK(pid >= 0, "allocation outside a proc");
-  ProcHeap& ph = proc_heaps_[static_cast<std::size_t>(pid)];
+  ProcHeap* ph = &proc_heaps_[static_cast<std::size_t>(pid)];
   const std::size_t words = 1 + field_words;
 
   // Charge point (a clean point: another proc's collection may run here; the
@@ -274,18 +274,22 @@ std::uint64_t* Heap::alloc_raw(ObjKind kind, std::size_t field_words,
   if (words > chunk_words_ || words * kWord >= cfg_.los_threshold_bytes) {
     obj = alloc_los(words, kind, rooted_args);
   } else {
-    while (ph.limit == nullptr ||
-           static_cast<std::size_t>(ph.limit - ph.alloc) < words) {
+    while (ph->limit == nullptr ||
+           static_cast<std::size_t>(ph->limit - ph->alloc) < words) {
       // Fuzz choice point: 1 forces a collection on this refill even though
       // free chunks remain, sliding GC cycles across the other procs'
       // allocation and synchronization histories.
       if (fuzz::pick(fuzz::Kind::kGcTrigger, 2, 0) == 1 ||
-          !grab_chunk(ph)) {
+          !grab_chunk(*ph)) {
         run_gc_cycle(false, rooted_args);
+        // Joining another proc's collection is a safe point, where a
+        // preempt can resume this thread on a different proc: refill the
+        // nursery chunk of the proc it runs on now, never the old owner's.
+        ph = &proc_heaps_[static_cast<std::size_t>(rendezvous_.cur_proc())];
       }
     }
-    obj = ph.alloc;
-    ph.alloc += words;
+    obj = ph->alloc;
+    ph->alloc += words;
   }
   obj[0] = make_header(kind, length_for_header);
   MPNJ_METRIC_COUNT_ALWAYS(kGcAllocWords, words);

@@ -54,6 +54,21 @@ struct PipeCore {
 
   bool readable_locked() const { return count > 0 || wr_closed; }
 
+  // Block copies between the ring and a caller's buffer: at most two
+  // memcpys, split where the ring wraps.  The caller bounds `m` by the bytes
+  // buffered (copy_out) or the free space (copy_in).
+  void copy_out(unsigned char* out, std::size_t m) const {
+    const std::size_t first = std::min(m, ring.size() - head);
+    std::memcpy(out, ring.data() + head, first);
+    std::memcpy(out + first, ring.data(), m - first);
+  }
+  void copy_in(const unsigned char* in, std::size_t m) {
+    const std::size_t tail = (head + count) % ring.size();
+    const std::size_t first = std::min(m, ring.size() - tail);
+    std::memcpy(ring.data() + tail, in, first);
+    std::memcpy(ring.data(), in + first, m - first);
+  }
+
   // Move every parked thread of `q` into `out` (caller reschedules after
   // unlocking).
   static void collect(std::deque<threads::ThreadState>& q,
@@ -94,10 +109,7 @@ class PipeEnd final : public StreamImpl {
     for (;;) {
       if (c.count > 0) {
         const std::size_t m = std::min(n, c.count);
-        auto* out = static_cast<unsigned char*>(buf);
-        for (std::size_t i = 0; i < m; i++) {
-          out[i] = c.ring[(c.head + i) % c.ring.size()];
-        }
+        c.copy_out(static_cast<unsigned char*>(buf), m);
         c.head = (c.head + m) % c.ring.size();
         c.count -= m;
         PipeCore::collect(c.writers, wake);  // space freed
@@ -147,9 +159,7 @@ class PipeEnd final : public StreamImpl {
       }
       if (c.count < c.ring.size()) {
         const std::size_t m = std::min(n - off, c.ring.size() - c.count);
-        for (std::size_t i = 0; i < m; i++) {
-          c.ring[(c.head + c.count + i) % c.ring.size()] = in[off + i];
-        }
+        c.copy_in(in + off, m);
         c.count += m;
         off += m;
         PipeCore::collect(c.readers, wake);

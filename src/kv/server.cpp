@@ -1,9 +1,12 @@
 #include "kv/server.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <deque>
 #include <exception>
 #include <iterator>
-#include <map>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,77 +20,115 @@ namespace mp::kv {
 
 namespace {
 
+// kv_req_us_*: a reply's time from its batch's submission to being encoded.
+void record_req_us([[maybe_unused]] Platform& plat, [[maybe_unused]] Op op,
+                   [[maybe_unused]] double submit_us) {
 #if MPNJ_METRICS
-bool req_histo(Op op, metrics::Histo* out) {
+  if (!metrics::registry().enabled()) return;
+  metrics::Histo h;
   switch (op) {
-    case Op::kGet:   *out = metrics::Histo::kKvReqUsGet; return true;
-    case Op::kSet:   *out = metrics::Histo::kKvReqUsSet; return true;
-    case Op::kDel:   *out = metrics::Histo::kKvReqUsDel; return true;
-    case Op::kRange: *out = metrics::Histo::kKvReqUsRange; return true;
-    default:         return false;
+    case Op::kGet:   h = metrics::Histo::kKvReqUsGet; break;
+    case Op::kSet:   h = metrics::Histo::kKvReqUsSet; break;
+    case Op::kDel:   h = metrics::Histo::kKvReqUsDel; break;
+    case Op::kRange: h = metrics::Histo::kKvReqUsRange; break;
+    default:         return;  // answered by the reader, not by a shard
   }
-}
+  const double us = plat.now_us() - submit_us;
+  metrics::record_value(h, us > 0 ? static_cast<std::uint64_t>(us) : 0);
 #endif
+}
 
-// The writer half: receive finished requests, restore submission order, and
-// flush each contiguous run as one coalesced write.  Returns once the fin
-// sentinel's sequence number has been reached and everything before it is on
-// the wire.
+// One reply the writer owes, at its place in submission order.
+struct Slot {
+  bool ready = false;
+  std::string out;
+  // RANGE: per-shard slices still to come, the sorted merge of those that
+  // arrived, and the earliest submission among their batches.
+  int slices_left = 0;
+  std::vector<std::pair<std::string, std::string>> merged;
+  double submit_us = std::numeric_limits<double>::infinity();
+};
+
+// The writer half: receive batches (applied ones from the shards, the
+// reader's own answers straight from the reader), put every reply at its
+// sequence number (one read's requests fan out over shard batches that come
+// back in any order), merge each RANGE's slices when the last one arrives,
+// and flush each contiguous run of finished replies as one coalesced write.
+// Returns once the reader's fin has arrived and every batch it handed on has
+// come back.
 void writer_loop(KvService& svc, cml::Mailbox<std::uint64_t>& replies,
-                 io::Stream& out) {
-  (void)svc;  // only read for the latency metric below
-  std::map<std::uint64_t, KvReq*> pending;  // completed, awaiting their turn
+                 const std::uint64_t& handed, io::Stream& out) {
+  Platform& plat = svc.scheduler().platform();
+  const int n_shards = svc.shards();
+  std::deque<Slot> window;  // window[i] is the reply with seq next_seq + i
   std::uint64_t next_seq = 0;
-  std::uint64_t fin_seq = 0;
-  bool fin_seen = false;
+  std::uint64_t received = 0;
+  // Batches to retire before returning: unknown until the reader's fin.
+  std::uint64_t expected = std::numeric_limits<std::uint64_t>::max();
   bool peer_gone = false;
-  std::string batch;
-  for (;;) {
-    if (fin_seen && next_seq >= fin_seq) break;
-    auto* r = reinterpret_cast<KvReq*>(replies.recv());
-    if (r->fin) {
-      // fin carries the total number of sequenced requests; nothing with
-      // seq >= fin_seq will ever arrive.
-      fin_seq = r->seq;
-      fin_seen = true;
-      delete r;
+  std::string wire;
+  while (received < expected) {
+    const std::uint64_t raw = replies.recv();
+    if (raw == 0) {
+      expected = handed;  // fin: the reader has handed on its last batch
       continue;
     }
-    pending.emplace(r->seq, r);
-    // Flush the contiguous run starting at next_seq (reorder buffer drain):
-    // out-of-order completions that piled up behind a gap go out in one
-    // write_all once the gap fills.
-    batch.clear();
-    while (true) {
-      auto it = pending.find(next_seq);
-      if (it == pending.end()) break;
-      KvReq* done = it->second;
-      pending.erase(it);
-#if MPNJ_METRICS
-      metrics::Histo h;
-      if (done->submit_us > 0 && metrics::registry().enabled() &&
-          req_histo(done->req.op, &h)) {
-        const double us =
-            svc.scheduler().platform().now_us() - done->submit_us;
-        metrics::record_value(h, us > 0 ? static_cast<std::uint64_t>(us) : 0);
+    const std::unique_ptr<KvBatch> b(reinterpret_cast<KvBatch*>(raw));
+    received++;
+    for (KvReq& r : b->reqs) {
+      MPNJ_CHECK(r.seq >= next_seq, "kv reply sequenced twice");
+      if (r.seq - next_seq >= window.size()) {
+        window.resize(r.seq - next_seq + 1);
       }
-#endif
-      batch += done->out;
-      delete done;
+      Slot& s = window[r.seq - next_seq];
+      if (r.req.op != Op::kRange) {
+        s.out = std::move(r.out);
+        s.ready = true;
+        record_req_us(plat, r.req.op, b->submit_us);
+        continue;
+      }
+      // One shard's slice of a RANGE: merge it into the sorted run so far.
+      if (s.slices_left == 0) s.slices_left = n_shards;  // its first slice
+      s.submit_us = std::min(s.submit_us, b->submit_us);
+      const auto mid = static_cast<std::ptrdiff_t>(s.merged.size());
+      s.merged.insert(s.merged.end(),
+                      std::make_move_iterator(r.range_out.begin()),
+                      std::make_move_iterator(r.range_out.end()));
+      std::inplace_merge(s.merged.begin(), s.merged.begin() + mid,
+                         s.merged.end());
+      // Every probe carries the clamped limit and each shard honoured it
+      // alone, so cutting after every merge keeps at most 2 x limit pairs.
+      const auto limit = static_cast<std::size_t>(r.req.limit);
+      if (s.merged.size() > limit) s.merged.resize(limit);
+      if (--s.slices_left > 0) continue;
+      encode_array_header(&s.out, s.merged.size() * 2);
+      for (const auto& [k, v] : s.merged) {
+        encode_bulk(&s.out, k);
+        encode_bulk(&s.out, v);
+      }
+      s.merged = {};
+      s.ready = true;
+      record_req_us(plat, Op::kRange, s.submit_us);
+    }
+    // Flush the contiguous run starting at next_seq: replies that piled up
+    // behind a gap go out in one write_all once the gap fills.
+    wire.clear();
+    while (!window.empty() && window.front().ready) {
+      wire += window.front().out;
+      window.pop_front();
       next_seq++;
     }
-    if (!batch.empty() && !peer_gone) {
+    if (!wire.empty() && !peer_gone) {
       try {
-        out.write_all(batch.data(), batch.size());
+        out.write_all(wire.data(), wire.size());
       } catch (...) {
         // The peer hung up with replies in flight; keep draining the
-        // mailbox (shards may still post into it, and every KvReq must be
-        // freed and counted toward fin_seq) but stop writing.
+        // mailbox (shards may still post into it, and every batch must be
+        // freed and counted toward the fin) but stop writing.
         peer_gone = true;
       }
     }
   }
-  for (auto& [seq, r] : pending) delete r;  // unreachable unless fin lied
 }
 
 }  // namespace
@@ -96,52 +137,69 @@ void serve(KvService& svc, io::Stream in, io::Stream out, ServeOptions opts) {
   MPNJ_METRIC_COUNT(kKvConns, 1);
   threads::Scheduler& sched = svc.scheduler();
   cml::Mailbox<std::uint64_t> replies(sched);
+  std::uint64_t handed = 0;  // batches on their way to the writer
   threads::CountdownLatch writer_done(sched, 1);
   sched.fork(
       [&] {
-        writer_loop(svc, replies, out);
+        writer_loop(svc, replies, handed, out);
         writer_done.count_down();
       },
       threads::Scheduler::SpawnOpts{}
           .with_stack(cont::StackClass::kSmall)
           .with_name("kv-writer"));
 
-  // Private mailbox for multi-shard fan-outs (RANGE probes): replies to
-  // scatter probes come back here, never through the writer.
-  cml::Mailbox<std::uint64_t> gather(sched);
+  // The batches the current read is filling: one per shard, and last the
+  // replies the reader answers itself.  The reader owns each one until it
+  // has been handed on.
+  const int n_shards = svc.shards();
+  std::vector<std::unique_ptr<KvBatch>> open(
+      static_cast<std::size_t>(n_shards) + 1);
+  const auto batch_for = [&](int slot) -> KvBatch& {
+    std::unique_ptr<KvBatch>& b = open[static_cast<std::size_t>(slot)];
+    if (!b) {
+      b = std::make_unique<KvBatch>();
+      b->reply = &replies;
+    }
+    return *b;
+  };
+  std::uint64_t next_seq = 0;
 
   // Reader-side direct answer: skip the shards but keep the sequence slot,
   // so pipelined replies stay in request order.
-  std::uint64_t next_seq = 0;
-  auto answer = [&](const Request& req, std::string reply_bytes) {
-    auto* r = new KvReq;
-    r->req = req;
-    r->out = std::move(reply_bytes);
-    r->seq = next_seq;
-    r->reply = &replies;
-    try {
-      replies.send(reinterpret_cast<std::uint64_t>(r));
-    } catch (...) {
-      delete r;
-      throw;
-    }
-    // Only after the enqueue: a seq allocated but never delivered would be
-    // a permanent gap in the writer's reorder window, and the fin handshake
-    // would never complete.
-    next_seq++;
+  const auto answer = [&](std::string reply_bytes) {
+    KvReq& r = batch_for(n_shards).reqs.emplace_back();
+    r.out = std::move(reply_bytes);
+    r.seq = next_seq++;
   };
 
-  // The shutdown handshake, which must run on EVERY exit path: the fin
-  // sentinel tells the writer no request will ever carry seq >= next_seq,
-  // and the await guarantees the writer has retired every outstanding KvReq
-  // before the stack-allocated mailboxes and latch above are destroyed.
-  // Skipping it (e.g. by unwinding on a socket error) would free channels
-  // that the writer thread and in-flight shard replies still reference.
-  auto finish = [&] {
-    auto* fin = new KvReq;
-    fin->fin = true;
-    fin->seq = next_seq;
-    replies.send(reinterpret_cast<std::uint64_t>(fin));
+  // Hand every open batch on: one rendezvous per shard batch, which parks
+  // until that shard accepts it (the service's backpressure), then one post
+  // of the reader's own answers straight to the writer.
+  const auto hand_on = [&] {
+    for (int s = 0; s <= n_shards; s++) {
+      std::unique_ptr<KvBatch>& b = open[static_cast<std::size_t>(s)];
+      if (!b) continue;
+      if (s < n_shards) {
+        svc.submit(s, b.get());
+      } else {
+        replies.send(reinterpret_cast<std::uint64_t>(b.get()));
+      }
+      (void)b.release();  // a shard or the writer owns it now
+      handed++;
+    }
+  };
+
+  // The shutdown handshake, which must run on EVERY exit path.  A batch the
+  // reader still owns (its submit threw) dies here without being handed on;
+  // its replies leave a gap that ends the reply stream at its place.  The
+  // fin tells the writer how many batches are on their way, and the await
+  // guarantees the writer has retired every one of them before the
+  // stack-allocated mailbox and latch above are destroyed.  Skipping it
+  // (e.g. by unwinding on a socket error) would free the mailbox that the
+  // writer thread and in-flight shard replies still reference.
+  const auto finish = [&] {
+    open.clear();
+    replies.send(0);
     writer_done.await();
     in.close();
     out.close();
@@ -165,91 +223,55 @@ void serve(KvService& svc, io::Stream in, io::Stream out, ServeOptions opts) {
     }
     if (n == 0) break;  // peer disconnected
     parser.feed(chunk.data(), n);
-    while (parser.next(&req)) {
+    // Sort everything this read delivered into the open batches, keeping
+    // arrival order within each, then hand them on together.
+    while (!quitting && parser.next(&req)) {
       if (!req.ok()) {
         MPNJ_METRIC_COUNT(kKvProtoErrors, 1);
         std::string e;
         encode_error(&e, req.error);
-        answer(req, std::move(e));
+        answer(std::move(e));
         continue;
       }
       switch (req.op) {
         case Op::kPing: {
           std::string e;
           encode_pong(&e);
-          answer(req, std::move(e));
+          answer(std::move(e));
           break;
         }
         case Op::kQuit: {
           std::string e;
           encode_ok(&e);
-          answer(req, std::move(e));
+          answer(std::move(e));
           quitting = true;
           break;
         }
         case Op::kRange: {
           MPNJ_METRIC_COUNT(kKvRanges, 1);
-#if MPNJ_METRICS
-          const double start_us = sched.platform().now_us();
-#endif
           // Scatter: rendezvous hashing spreads adjacent keys across
-          // shards, so every shard owns a slice of [lo, hi].  Probe them
-          // all, then merge the sorted slices and apply the limit.  The
+          // shards, so every shard owns a slice of [lo, hi].  One probe
+          // rides in each shard's batch under the RANGE's sequence number,
+          // and the writer merges the slices and applies the limit.  The
           // no-limit default (-1) is clamped to the same ceiling the parser
           // enforces on explicit limits, so one RANGE over a large store
           // cannot materialize unbounded payload copies (per-shard slices,
           // the merged vector, and the encoded reply).
-          const long limit =
-              req.limit < 0 ? kMaxRangeResults
-                            : std::min(req.limit, kMaxRangeResults);
-          const int n_shards = svc.shards();
-          std::vector<KvReq> probes(static_cast<std::size_t>(n_shards));
+          req.limit = req.limit < 0 ? kMaxRangeResults
+                                    : std::min(req.limit, kMaxRangeResults);
+          const std::uint64_t seq = next_seq++;
           for (int s = 0; s < n_shards; s++) {
-            probes[static_cast<std::size_t>(s)].req = req;
-            probes[static_cast<std::size_t>(s)].req.limit = limit;
-            probes[static_cast<std::size_t>(s)].reply = &gather;
-            svc.submit_to(s, &probes[static_cast<std::size_t>(s)]);
+            KvReq& probe = batch_for(s).reqs.emplace_back();
+            probe.req = req;
+            probe.seq = seq;
           }
-          std::vector<std::pair<std::string, std::string>> merged;
-          // Gather ALL probes before anything can unwind: shards hold
-          // pointers into the stack-allocated `probes` until each posts
-          // back, so a merge failure must not abandon outstanding probes.
-          std::exception_ptr merge_err;
-          for (int s = 0; s < n_shards; s++) {
-            auto* p = reinterpret_cast<KvReq*>(gather.recv());
-            if (merge_err) continue;
-            try {
-              merged.insert(merged.end(),
-                            std::make_move_iterator(p->range_out.begin()),
-                            std::make_move_iterator(p->range_out.end()));
-            } catch (...) {
-              merge_err = std::current_exception();
-            }
-          }
-          if (merge_err) std::rethrow_exception(merge_err);
-          std::sort(merged.begin(), merged.end());
-          if (merged.size() > static_cast<std::size_t>(limit)) {
-            merged.resize(static_cast<std::size_t>(limit));
-          }
-          std::string e;
-          encode_array_header(&e, merged.size() * 2);
-          for (const auto& [k, v] : merged) {
-            encode_bulk(&e, k);
-            encode_bulk(&e, v);
-          }
-#if MPNJ_METRICS
-          if (metrics::registry().enabled()) {
-            const double us = sched.platform().now_us() - start_us;
-            metrics::record_value(metrics::Histo::kKvReqUsRange,
-                                  us > 0 ? static_cast<std::uint64_t>(us) : 0);
-          }
-#endif
-          answer(req, std::move(e));
           break;
         }
         case Op::kStats: {
-          // Fan the probe out from the reader; shards only ever see
-          // single-shard requests.
+          // Hand this connection's earlier requests on first: each shard
+          // applies them before it takes its probe, so the counts include
+          // them.
+          hand_on();
           const ShardStats st = svc.stats();
           std::string body = "keys=" + std::to_string(st.keys) +
                              " bytes=" + std::to_string(st.bytes) +
@@ -257,22 +279,19 @@ void serve(KvService& svc, io::Stream in, io::Stream out, ServeOptions opts) {
                              " shards=" + std::to_string(st.shards);
           std::string e;
           encode_bulk(&e, body);
-          answer(req, std::move(e));
+          answer(std::move(e));
           break;
         }
         default: {
-          auto* r = new KvReq;
-          r->req = std::move(req);
-          r->seq = next_seq;
-          r->reply = &replies;
-          svc.submit(r);  // rendezvous: parks until the shard accepts
-          next_seq++;     // seq advances only once the shard owns the req
+          KvReq& r = batch_for(svc.shard_of(req.key)).reqs.emplace_back();
+          r.req = std::move(req);
+          r.seq = next_seq++;
           req = Request{};
           break;
         }
       }
-      if (quitting) break;
     }
+    hand_on();
   }
   } catch (...) {
     // Unexpected failure mid-connection: run the shutdown handshake before

@@ -10,22 +10,28 @@
 //
 //  - the reader (the thread that calls serve) pulls bytes, runs the
 //    incremental FrameParser, stamps each request with a per-connection
-//    sequence number, and hands it to its owning shard via KvService::submit
-//    (a rendezvous send — the only backpressure in the system);
-//  - the writer receives finished requests on the connection's reply
-//    mailbox (an asynchronous buffered channel: shards post replies without
-//    ever parking on a slow connection), reorders them back into submission
-//    order (pipelined requests fan out across shards and complete in any
-//    order), and flushes each contiguous run with one coalesced write_all.
+//    sequence number, and sorts what one read delivered into one batch per
+//    owning shard, in arrival order.  A RANGE puts one probe into every
+//    shard's batch.  Then it hands each batch to its shard with
+//    KvService::submit (a rendezvous send, one per batch — the only
+//    backpressure in the system);
+//  - the writer receives applied batches on the connection's reply mailbox
+//    (an asynchronous buffered channel: shards post them without ever
+//    parking on a slow connection), puts every reply back at its sequence
+//    number (one read's requests fan out across shards and complete in any
+//    order), merges each RANGE's per-shard slices once the last one is in,
+//    and flushes each contiguous run of replies with one coalesced
+//    write_all.
 //
 // Protocol errors, PING, and STATS never reach a shard: the reader answers
-// them itself, but still routes the encoded reply through the reply mailbox
+// them itself, in a batch of its own posted straight to the reply mailbox
 // under the same sequence numbering, so pipelined replies stay in request
-// order no matter what produced them.
+// order no matter what produced them.  STATS hands the connection's open
+// batches on before it probes the shards, so it counts their writes.
 //
 // A stream error on the read side (ECONNRESET from a peer that closed with
 // unread pipelined replies, say) is treated exactly like a disconnect: the
-// connection drains its in-flight requests and serve() returns normally
+// connection drains its in-flight batches and serve() returns normally
 // rather than letting the exception unwind past live channels.
 
 namespace mp::kv {

@@ -74,12 +74,9 @@ void KvService::start() {
 
 void KvService::stop() {
   MPNJ_CHECK(started_, "kv service not running");
-  // A quit request with no reply channel is the shard loop's stop token.
+  // A batch with no reply mailbox is the shard loop's stop token.
   for (Shard& sh : shards_) {
-    auto* r = new KvReq;
-    r->req.op = Op::kQuit;
-    r->reply = nullptr;
-    sh.ch->send(reinterpret_cast<std::uint64_t>(r));
+    sh.ch->send(reinterpret_cast<std::uint64_t>(new KvBatch));
   }
   joined_->await();
   joined_.reset();
@@ -103,21 +100,15 @@ int KvService::shard_of(std::string_view key) const {
   return owner;
 }
 
-void KvService::submit(KvReq* r) {
-  MPNJ_CHECK(r->req.op == Op::kGet || r->req.op == Op::kSet ||
-                 r->req.op == Op::kDel,
-             "submit is for point ops; RANGE/STATS fan out via submit_to");
-  submit_to(shard_of(r->req.key), r);
-}
-
-void KvService::submit_to(int shard, KvReq* r) {
+void KvService::submit(int shard, KvBatch* b) {
   MPNJ_CHECK(started_, "submit to a stopped kv service");
   MPNJ_CHECK(shard >= 0 && shard < shards(), "kv shard index out of range");
+  MPNJ_CHECK(b->reply != nullptr, "kv batch has no reply mailbox");
 #if MPNJ_METRICS
-  r->submit_us = sched_.platform().now_us();
+  b->submit_us = sched_.platform().now_us();
 #endif
   shards_[static_cast<std::size_t>(shard)].ch->send(
-      reinterpret_cast<std::uint64_t>(r));
+      reinterpret_cast<std::uint64_t>(b));
 }
 
 ShardStats KvService::stats() {
@@ -128,16 +119,17 @@ ShardStats KvService::stats() {
   // the counts are exact as of each shard's dequeue (no cross-thread reads
   // of owner-only state).
   cml::Mailbox<std::uint64_t> back(sched_);
-  for (Shard& sh : shards_) {
-    KvReq probe;
-    probe.req.op = Op::kStats;
+  for (int s = 0; s < shards(); s++) {
+    KvBatch probe;
+    probe.reqs.resize(1);
+    probe.reqs[0].req.op = Op::kStats;
     probe.reply = &back;
-    submit_to(static_cast<int>(&sh - shards_.data()), &probe);
-    auto* done = reinterpret_cast<KvReq*>(back.recv());
+    submit(s, &probe);
+    auto* done = reinterpret_cast<KvBatch*>(back.recv());
     MPNJ_CHECK(done == &probe, "stats probe came back out of order");
-    total.keys += probe.stat_keys;
-    total.bytes += probe.stat_bytes;
-    total.ops += probe.stat_ops;
+    total.keys += probe.reqs[0].stat_keys;
+    total.bytes += probe.reqs[0].stat_bytes;
+    total.ops += probe.reqs[0].stat_ops;
   }
   return total;
 }
@@ -146,81 +138,83 @@ void KvService::shard_loop(int idx) {
   Shard& sh = shards_[static_cast<std::size_t>(idx)];
   sh.owner_tid = sched_.id();
   for (;;) {
-    auto* r = reinterpret_cast<KvReq*>(sh.ch->recv());
-    if (r->req.op == Op::kQuit && r->reply == nullptr) {
-      delete r;
+    auto* b = reinterpret_cast<KvBatch*>(sh.ch->recv());
+    if (b->reply == nullptr) {
+      delete b;
       return;
     }
 #if MPNJ_METRICS
     if (metrics::registry().enabled()) {
-      const double waited = sched_.platform().now_us() - r->submit_us;
-      metrics::record_value(
-          queue_histo(r->req.op),
-          waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
+      // Every request in the batch waited from the batch's submission.
+      const double waited = sched_.platform().now_us() - b->submit_us;
+      const auto us = waited > 0 ? static_cast<std::uint64_t>(waited) : 0;
+      for (const KvReq& r : b->reqs) {
+        metrics::record_value(queue_histo(r.req.op), us);
+      }
     }
 #endif
-    apply(sh, r);
+    for (KvReq& r : b->reqs) apply(sh, r);
     // Asynchronous delivery: the mailbox enqueue never parks, so a stalled
     // connection writer (peer stopped reading, write_all parked on a full
     // socket buffer) cannot head-of-line block this shard for every other
     // connection it owes a reply to.
-    r->reply->send(reinterpret_cast<std::uint64_t>(r));
+    b->reply->send(reinterpret_cast<std::uint64_t>(b));
   }
 }
 
-void KvService::apply(Shard& sh, KvReq* r) {
+void KvService::apply(Shard& sh, KvReq& r) {
   // The single-owner discipline that makes the store lock-free: only the
   // shard's owner thread ever reaches this point.
   MPNJ_CHECK(sched_.id() == sh.owner_tid,
              "kv shard touched off its owner thread");
   sh.ops++;
   ShardStore& store = *sh.store;
-  switch (r->req.op) {
+  switch (r.req.op) {
     case Op::kGet: {
       MPNJ_METRIC_COUNT(kKvGets, 1);
-      if (const std::string* v = store.get(r->req.key)) {
+      if (const std::string* v = store.get(r.req.key)) {
         MPNJ_METRIC_COUNT(kKvHits, 1);
-        encode_bulk(&r->out, *v);
+        encode_bulk(&r.out, *v);
       } else {
         MPNJ_METRIC_COUNT(kKvMisses, 1);
-        encode_nil(&r->out);
+        encode_nil(&r.out);
       }
       break;
     }
     case Op::kSet: {
       MPNJ_METRIC_COUNT(kKvSets, 1);
-      store.set(r->req.key, r->req.value);
-      encode_ok(&r->out);
+      store.set(r.req.key, r.req.value);
+      encode_ok(&r.out);
       break;
     }
     case Op::kDel: {
       MPNJ_METRIC_COUNT(kKvDels, 1);
-      encode_int(&r->out, store.del(r->req.key) ? 1 : 0);
+      encode_int(&r.out, store.del(r.req.key) ? 1 : 0);
       break;
     }
     case Op::kRange: {
       // One probe of a multi-shard scatter: return this shard's slice of
       // [lo, hi] (sorted, capped at the global limit — enough for the merge)
       // as structured pairs; the connection layer merges and encodes.
-      r->range_out.clear();
-      store.range(r->req.key, r->req.hi, r->req.limit,
+      r.range_out.clear();
+      store.range(r.req.key, r.req.hi, r.req.limit,
                   [&](std::string_view k, std::string_view v) {
-                    r->range_out.emplace_back(k, v);
+                    r.range_out.emplace_back(k, v);
                     return true;
                   });
       break;
     }
     case Op::kStats: {
       MPNJ_METRIC_COUNT(kKvStats, 1);
-      r->stat_keys = store.size();
-      r->stat_bytes = store.bytes();
-      r->stat_ops = sh.ops;
+      r.stat_keys = store.size();
+      r.stat_bytes = store.bytes();
+      r.stat_ops = sh.ops;
       break;
     }
     case Op::kPing:
     case Op::kQuit:
       // Served at the connection layer; a shard never sees them.
-      encode_error(&r->out, "internal: misrouted request");
+      encode_error(&r.out, "internal: misrouted request");
       break;
   }
 }

@@ -20,6 +20,12 @@
 // connections becomes scheduling (rendezvous on the shard channel), which
 // the work-stealing cores and parking locks underneath already make fast.
 //
+// The unit of work on a shard channel is a batch: the requests one
+// connection read delivered for that shard, in arrival order.  One
+// rendezvous hands a whole batch over, the owner applies it in order, and
+// one mailbox post hands it back, so a pipelined connection pays one
+// channel trip and one reply post per read, not per request.
+//
 // Keys map to shards by rendezvous (highest-random-weight) hashing over
 // per-shard salts: every key has one owner, ownership is stable under a
 // fixed shard count, and the mapping needs no shared routing table.
@@ -33,29 +39,33 @@ struct KvConfig {
   std::uint64_t seed = 0x5eed;
 };
 
-// One in-flight request: allocated by a connection's reader thread, applied
+// One request inside a batch: filled in by a connection's reader, applied
 // and reply-encoded by the owning shard thread, retired (in submission
-// order) by the connection's writer thread.  Crosses CML channels as a
-// pointer, like every payload in this runtime.
+// order) by the connection's writer thread.
 struct KvReq {
   Request req;
   std::string out;   // encoded reply bytes (filled by the shard)
-  // RANGE probe results (structured, per shard; the connection layer merges
-  // across shards and encodes — see server.cpp).
+  // RANGE probe results: this shard's sorted slice of [key, hi], capped at
+  // req.limit.  The connection's writer merges the slices across shards and
+  // encodes the reply (see server.cpp).
   std::vector<std::pair<std::string, std::string>> range_out;
   std::uint64_t seq = 0;  // per-connection submission order
-  // Where the shard delivers the finished request (the connection's reply
-  // mailbox, or a private mailbox for RANGE/STATS fan-out probes).  A
-  // mailbox, not a rendezvous channel, on purpose: delivery is asynchronous,
-  // so a shard owner is never parked by one connection whose writer has
-  // stalled — replies to other connections keep flowing.
-  cml::Mailbox<std::uint64_t>* reply = nullptr;
-  bool fin = false;  // writer sentinel: no request will carry seq >= this->seq
-  double submit_us = 0;  // platform clock at submission (latency metrics)
   // STATS probe results (filled by the shard).
   std::size_t stat_keys = 0;
   std::size_t stat_bytes = 0;
   std::uint64_t stat_ops = 0;
+};
+
+// The requests one connection hands one shard at once.  Crosses CML
+// channels as a pointer, like every payload in this runtime.
+struct KvBatch {
+  std::vector<KvReq> reqs;  // applied in this order
+  // Where the shard posts the applied batch.  A mailbox, not a rendezvous
+  // channel, on purpose: delivery is asynchronous, so a shard owner is never
+  // parked by one connection whose writer has stalled — replies to other
+  // connections keep flowing.
+  cml::Mailbox<std::uint64_t>* reply = nullptr;
+  double submit_us = 0;  // platform clock at submission (latency metrics)
 };
 
 struct ShardStats {
@@ -81,16 +91,13 @@ class KvService {
   int shards() const { return static_cast<int>(shards_.size()); }
   int shard_of(std::string_view key) const;
 
-  // Hand `r` to its owning shard (a rendezvous send: parks the caller until
-  // the shard accepts, which is the service's only backpressure).  The shard
-  // encodes the reply into r->out and posts r to r->reply.  Point ops only
-  // (GET/SET/DEL): RANGE and STATS are multi-shard and fan out via
-  // submit_to.
-  void submit(KvReq* r);
-
-  // Route `r` to one specific shard regardless of key: the scatter half of
-  // RANGE and STATS fan-outs.
-  void submit_to(int shard, KvReq* r);
+  // Hand batch `b` to shard `shard`: a rendezvous send that parks the caller
+  // until the shard accepts the whole batch, the service's only
+  // backpressure.  The shard applies b->reqs in order — point ops (GET/SET/
+  // DEL) to their key, which the caller has routed here with shard_of, and
+  // RANGE and STATS probes to its own slice of the store — encodes each
+  // reply, and posts b to b->reply; whoever receives it there owns it.
+  void submit(int shard, KvBatch* b);
 
   // Aggregate store sizes via a STATS probe round-trip to every shard.
   // Callable from any MLthread while the service is running.
@@ -108,7 +115,7 @@ class KvService {
   };
 
   void shard_loop(int idx);
-  void apply(Shard& sh, KvReq* r);
+  void apply(Shard& sh, KvReq& r);
 
   threads::Scheduler& sched_;
   KvConfig cfg_;

@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "arch/panic.h"
 #include "fuzz/hooks.h"
 #include "metrics/metrics.h"
 #include "threads/queue.h"
@@ -173,9 +174,19 @@ namespace {
 // Bound on each core's recycled-cell cache; overflow falls back to delete.
 constexpr int kMaxFreeCells = 256;
 
+// The single-owner rule for a core's deque bottom and cell cache: only the
+// OS thread currently running proc `mine.id` may touch them.  A caller that
+// read its core before a safe point may have been preempted and resumed on
+// another proc since.
+void check_owner(Platform& p, const ProcCore& mine) {
+  MPNJ_CHECK(mine.id == p.proc_id(),
+             "per-proc run deque touched off its owning proc");
+}
+
 // Heap a ThreadState into a deque cell, reusing the proc's cell cache when
 // it has one (the cache is owner-only — see ProcCore::free_cells).
-ThreadState* make_cell(ProcCore& mine, ThreadState&& t) {
+ThreadState* make_cell(Platform& p, ProcCore& mine, ThreadState&& t) {
+  check_owner(p, mine);
   ThreadState* cell = mine.free_cells;
   if (cell == nullptr) return new ThreadState(std::move(t));
   mine.free_cells = cell->next_free;
@@ -188,7 +199,9 @@ ThreadState* make_cell(ProcCore& mine, ThreadState&& t) {
 
 // Move the state out of a deque cell and recycle the cell into the
 // dequeuing proc's cache.
-std::optional<ThreadState> take_cell(ProcCore& mine, ThreadState* cell) {
+std::optional<ThreadState> take_cell(Platform& p, ProcCore& mine,
+                                     ThreadState* cell) {
+  check_owner(p, mine);
   std::optional<ThreadState> t{std::move(*cell)};
   t->next_free = nullptr;
   if (mine.free_cell_count < kMaxFreeCells) {
@@ -216,11 +229,12 @@ void WorkStealingQueue::init(Platform& p) {
 }
 
 void WorkStealingQueue::enq(Platform& p, ThreadState t) {
-  ProcCore& mine = *cores_[static_cast<std::size_t>(p.proc_id())];
   // Owner-side push: a slot store plus the release publish of bottom — no
-  // lock pair, no read-modify-write.
+  // lock pair, no read-modify-write.  Charge before reading the core: work()
+  // is a safe point, where a preempt can move this thread to another proc.
   p.work(4);
-  mine.deque.push(make_cell(mine, std::move(t)));
+  ProcCore& mine = *cores_[static_cast<std::size_t>(p.proc_id())];
+  mine.deque.push(make_cell(p, mine, std::move(t)));
 }
 
 std::optional<ThreadState> WorkStealingQueue::deq(Platform& p) {
@@ -231,7 +245,9 @@ std::optional<ThreadState> WorkStealingQueue::deq(Platform& p) {
   if (order_ == OwnerOrder::kLifo) {
     if (!mine.deque.empty()) {
       p.charge_cas();  // pop's store-load barrier / last-entry CAS
-      if (ThreadState* cell = mine.deque.pop()) return take_cell(mine, cell);
+      if (ThreadState* cell = mine.deque.pop()) {
+        return take_cell(p, mine, cell);
+      }
     }
   } else {
     // FIFO owner order: the owner takes its own oldest entry with the same
@@ -241,7 +257,7 @@ std::optional<ThreadState> WorkStealingQueue::deq(Platform& p) {
       ThreadState* cell = nullptr;
       p.charge_cas();
       const auto r = mine.deque.steal(&cell);
-      if (r == WsDeque::Steal::kGot) return take_cell(mine, cell);
+      if (r == WsDeque::Steal::kGot) return take_cell(p, mine, cell);
       if (r == WsDeque::Steal::kEmpty) break;
     }
   }
@@ -264,7 +280,7 @@ std::optional<ThreadState> WorkStealingQueue::deq(Platform& p) {
       if (steal_rec_) {
         steal_rec_->emplace_back(static_cast<int>(me), static_cast<int>(v));
       }
-      return take_cell(mine, cell);
+      return take_cell(p, mine, cell);
     }
     // kLost: someone else took the entry — global progress was made; move
     // on to the next victim rather than hammering this one's top.

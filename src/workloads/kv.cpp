@@ -6,9 +6,10 @@
 //
 // Verification is exact despite full pipelining: each connection owns a
 // disjoint key prefix, so a private std::map replayed at queue time predicts
-// every reply byte-for-byte (per-connection program order holds because
-// submit() is a rendezvous — it returns only once the owning shard has
-// dequeued the request).  Both the expected and actual digests are
+// every reply byte-for-byte (per-connection program order holds because a
+// connection's batches keep arrival order and each submit() is a
+// rendezvous — it returns only once the owning shard has dequeued the
+// batch).  Both the expected and actual digests are
 // independent of shard count, proc count, and schedule, which is what the
 // cross-backend determinism checks key on.
 

@@ -37,9 +37,9 @@ namespace {
 using mp::io::Duplex;
 using mp::io::Stream;
 using mp::kv::FrameParser;
+using mp::kv::KvBatch;
 using mp::kv::KvClient;
 using mp::kv::KvConfig;
-using mp::kv::KvReq;
 using mp::kv::KvService;
 using mp::kv::Op;
 using mp::kv::Reply;
@@ -444,6 +444,48 @@ void serve_one_connection_checks(Scheduler& sched, int shards) {
     EXPECT_EQ(rep.text, std::to_string(i));
   }
 
+  // One flush that mixes every path a read can take: point ops batched per
+  // shard, RANGEs probing every shard and merged by the writer, and a STATS
+  // that must count the SETs queued ahead of it in the same read.  Every
+  // reply must match applying the ops one at a time, in order.
+  std::string stats_req;
+  mp::kv::encode_stats(&stats_req);
+  cli.queue_set("q:1", "one");
+  cli.queue_set("q:2", "two");
+  cli.queue_range("q:0", "q:9");
+  cli.queue_raw(stats_req);
+  cli.queue_del("q:1");
+  cli.queue_range("q:0", "q:9");
+  cli.queue_get("q:2");
+  cli.flush();
+  rep = cli.recv_reply();  // SET q:1
+  EXPECT_EQ(rep.kind, Reply::Kind::kSimple);
+  EXPECT_EQ(rep.text, "OK");
+  rep = cli.recv_reply();  // SET q:2
+  EXPECT_EQ(rep.kind, Reply::Kind::kSimple);
+  EXPECT_EQ(rep.text, "OK");
+  rep = cli.recv_reply();  // RANGE sees both
+  ASSERT_EQ(rep.kind, Reply::Kind::kArray);
+  ASSERT_EQ(rep.items.size(), 4u);
+  EXPECT_EQ(rep.items[0], "q:1");
+  EXPECT_EQ(rep.items[1], "one");
+  EXPECT_EQ(rep.items[2], "q:2");
+  EXPECT_EQ(rep.items[3], "two");
+  rep = cli.recv_reply();  // STATS: a:1 a:2 b:1, p:0..p:15, q:1 q:2
+  ASSERT_EQ(rep.kind, Reply::Kind::kBulk);
+  EXPECT_NE(rep.text.find("keys=21 "), std::string::npos) << rep.text;
+  rep = cli.recv_reply();  // DEL q:1
+  EXPECT_EQ(rep.kind, Reply::Kind::kInt);
+  EXPECT_EQ(rep.ival, 1);
+  rep = cli.recv_reply();  // RANGE no longer sees q:1
+  ASSERT_EQ(rep.kind, Reply::Kind::kArray);
+  ASSERT_EQ(rep.items.size(), 2u);
+  EXPECT_EQ(rep.items[0], "q:2");
+  EXPECT_EQ(rep.items[1], "two");
+  rep = cli.recv_reply();  // GET q:2
+  ASSERT_EQ(rep.kind, Reply::Kind::kBulk);
+  EXPECT_EQ(rep.text, "two");
+
   cli.quit();
   served.await();
   svc.stop();
@@ -639,7 +681,7 @@ TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
   // writer has stopped draining (peer reads nothing, write_all parked) must
   // not park the shard owner, or it would head-of-line block every other
   // connection that shard owes a reply to.  With rendezvous replies this
-  // test deadlocks on the first undrained request.
+  // test deadlocks on the first undrained batch.
   auto p = sim_platform(2);
   run_threads(*p, [](Scheduler& sched) {
     KvConfig cfg;
@@ -647,29 +689,107 @@ TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
     KvService svc(sched, cfg);
     svc.start();
     mp::cml::Mailbox<std::uint64_t> stalled(sched);
-    std::vector<KvReq> parked(8);
+    std::vector<KvBatch> parked(8);
     for (int i = 0; i < 8; i++) {
-      parked[static_cast<std::size_t>(i)].req.op = Op::kSet;
-      parked[static_cast<std::size_t>(i)].req.key = "s:" + std::to_string(i);
-      parked[static_cast<std::size_t>(i)].req.value = "v";
-      parked[static_cast<std::size_t>(i)].reply = &stalled;
-      svc.submit(&parked[static_cast<std::size_t>(i)]);
+      KvBatch& b = parked[static_cast<std::size_t>(i)];
+      b.reqs.resize(1);
+      b.reqs[0].req.op = Op::kSet;
+      b.reqs[0].req.key = "s:" + std::to_string(i);
+      b.reqs[0].req.value = "v";
+      b.reply = &stalled;
+      svc.submit(0, &b);
     }
     // Nobody has drained `stalled`, yet the same shard keeps serving.
     mp::cml::Mailbox<std::uint64_t> live(sched);
-    KvReq q;
-    q.req.op = Op::kGet;
-    q.req.key = "s:3";
+    KvBatch q;
+    q.reqs.resize(1);
+    q.reqs[0].req.op = Op::kGet;
+    q.reqs[0].req.key = "s:3";
     q.reply = &live;
-    svc.submit(&q);
-    auto* done = reinterpret_cast<KvReq*>(live.recv());
+    svc.submit(0, &q);
+    auto* done = reinterpret_cast<KvBatch*>(live.recv());
     EXPECT_EQ(done, &q);
-    EXPECT_FALSE(q.out.empty());  // the shard applied and encoded the GET
+    EXPECT_FALSE(q.reqs[0].out.empty());  // the shard applied and encoded it
     // Drain the stalled replies before their stack frames go away.
     for (int i = 0; i < 8; i++) (void)stalled.recv();
     svc.stop();
   });
 }
+
+#if MPNJ_METRICS
+TEST(KvServe, OneReadOfPointOpsIsOneShardRendezvous) {
+  // The reader hands everything one read delivered to a shard as a single
+  // batch: 32 pipelined point ops that arrive together cross the shard
+  // channel once, not 32 times.  Every rendezvous commits exactly one of
+  // cml_sends (the sender found a parked receiver) or cml_recvs.
+  auto& reg = mp::metrics::registry();
+  if (!reg.enabled()) GTEST_SKIP() << "metrics disabled via MPNJ_METRICS=0";
+  auto p = sim_platform(1);
+  run_threads(*p, [&reg](Scheduler& sched) {
+    KvConfig cfg;
+    cfg.shards = 1;
+    KvService svc(sched, cfg);
+    svc.start();
+    auto [client_end, server_end] = mp::io::duplex_pipe(sched, 4096);
+    CountdownLatch served(sched, 1);
+    sched.fork([&svc, &served, server_end]() mutable {
+      mp::kv::serve(svc, server_end);
+      served.count_down();
+    });
+    KvClient cli(client_end);
+    EXPECT_TRUE(cli.ping());  // the connection is up and its reader idle
+
+    using mp::metrics::Counter;
+    const auto rendezvous = [&reg] {
+      const auto snap = reg.snapshot();
+      return snap.counter(Counter::kCmlSends) +
+             snap.counter(Counter::kCmlRecvs);
+    };
+    const auto before = rendezvous();
+    std::map<std::string, std::string> model;
+    std::vector<Reply> expect;
+    for (int i = 0; i < 32; i++) {
+      const std::string key = "f:" + std::to_string(i % 8);
+      Reply want;
+      switch (i % 3) {
+        case 0:
+          cli.queue_set(key, std::to_string(i));
+          model[key] = std::to_string(i);
+          want.kind = Reply::Kind::kSimple;
+          want.text = "OK";
+          break;
+        case 1:
+          cli.queue_get(key);
+          if (auto it = model.find(key); it != model.end()) {
+            want.kind = Reply::Kind::kBulk;
+            want.text = it->second;
+          } else {
+            want.kind = Reply::Kind::kNil;
+          }
+          break;
+        default:
+          cli.queue_del(key);
+          want.kind = Reply::Kind::kInt;
+          want.ival = static_cast<long>(model.erase(key));
+          break;
+      }
+      expect.push_back(want);
+    }
+    cli.flush();
+    for (const Reply& want : expect) {
+      const Reply got = cli.recv_reply();
+      ASSERT_EQ(got.kind, want.kind);
+      EXPECT_EQ(got.text, want.text);
+      EXPECT_EQ(got.ival, want.ival);
+    }
+    EXPECT_LE(rendezvous() - before, 2u);
+
+    cli.quit();
+    served.await();
+    svc.stop();
+  });
+}
+#endif
 
 // ---------- the kv workload: exact verification + determinism ----------
 
@@ -736,6 +856,11 @@ TEST(KvWorkload, OpCountersAdvance) {
             before.counter(Counter::kKvConns));
   EXPECT_GT(after.histo(mp::metrics::Histo::kKvReqUsGet).count,
             before.histo(mp::metrics::Histo::kKvReqUsGet).count);
+  // RANGE replies are merged and timed by the connection's writer.
+  EXPECT_GT(after.counter(Counter::kKvRanges),
+            before.counter(Counter::kKvRanges));
+  EXPECT_GT(after.histo(mp::metrics::Histo::kKvReqUsRange).count,
+            before.histo(mp::metrics::Histo::kKvReqUsRange).count);
 }
 #endif
 

@@ -258,6 +258,51 @@ TEST(WorkStealingSimTest, VirtualTimeAndChecksumDeterministic) {
   EXPECT_EQ(a.second, b.second);
 }
 
+// A thread that wakes another enqueues it from its own proc with preemption
+// unmasked, and the enqueue's charge is a safe point: a preempt delivered
+// there can resume the waker on a different proc before the push.  The push
+// must then go to the proc it resumed on (an owner check aborts otherwise).
+// Semaphore ping-pong makes every wake such an enqueue, and a preempt that
+// fires while the waker is in the semaphore's lock has its first chance to
+// deliver in that charge.
+TEST(WorkStealingSimTest, PreemptInsideAnEnqueueKeepsThePushOnItsProc) {
+  mp::SimPlatformConfig cfg;
+  cfg.machine = mp::sim::sequent_s81(4);
+  mp::SimPlatform platform(cfg);
+  SchedulerConfig sc;
+  sc.queue = std::make_unique<WorkStealingQueue>();
+  sc.preempt_interval_us = 20;
+  constexpr int kPairs = 8;
+  constexpr int kRounds = 400;
+  std::atomic<int> done{0};
+  Scheduler::run(platform, std::move(sc), [&](Scheduler& s) {
+    std::vector<std::unique_ptr<mp::threads::Semaphore>> sems;
+    for (int i = 0; i < 2 * kPairs; i++) {
+      sems.push_back(std::make_unique<mp::threads::Semaphore>(s, 0));
+    }
+    CountdownLatch latch(s, 2 * kPairs);
+    for (int i = 0; i < 2 * kPairs; i++) {
+      s.fork([&, i] {
+        mp::threads::Semaphore& mine = *sems[static_cast<std::size_t>(i)];
+        mp::threads::Semaphore& peer = *sems[static_cast<std::size_t>(i ^ 1)];
+        for (int r = 0; r < kRounds; r++) {
+          if ((i & 1) == 0) {
+            peer.release();
+            mine.acquire();
+          } else {
+            mine.acquire();
+            peer.release();
+          }
+        }
+        done.fetch_add(1);
+        latch.count_down();
+      });
+    }
+    latch.await();
+  });
+  EXPECT_EQ(done.load(), 2 * kPairs);
+}
+
 // ---------- park / targeted wakeup on native threads ----------
 
 TEST(ParkWakeTest, IdleProcsParkAndTimerWakesThem) {
