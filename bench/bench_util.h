@@ -47,6 +47,16 @@ inline void rule() {
   std::printf("------------------------------------------------------------------------------\n");
 }
 
+// Nearest-index percentile (0 <= q <= 1) of an ascending-sorted sample:
+// the element at round(q * (n - 1)), or 0 for an empty sample.
+template <typename T>
+double percentile(const std::vector<T>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const auto idx = static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return static_cast<double>(sorted[std::min(idx, sorted.size() - 1)]);
+}
+
 // Standard proc grids.
 inline std::vector<int> sequent_grid(bool quick) {
   if (quick) return {1, 4, 8, 16};

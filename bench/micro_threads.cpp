@@ -183,8 +183,7 @@ int run_soak(long n) {
     done.await();
 
     // Drained: everything is back in the pool.  Trim, then time raw
-    // fork+join through the (now hot) per-proc caches — the A/B number
-    // against MPNJ_STACK_POOL=0.
+    // fork+join through the (now hot) per-proc caches.
     pool.trim();
     std::printf("soak: after drain committed_stack_mb=%zu outstanding=%ld\n",
                 pool.committed_bytes() >> 20, pool.outstanding());
@@ -201,8 +200,7 @@ int run_soak(long n) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count() /
         static_cast<double>(kTimed);
-    std::printf("soak: fork+join %.0f ns/op (pooling=%s)\n", ns,
-                pool.config().pooling ? "on" : "off");
+    std::printf("soak: fork+join %.0f ns/op\n", ns);
   });
   return ok ? 0 : 1;
 }

@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   // (gc::ParallelCopier; the simulator divides the copy's instruction cost
   // across workers while bus traffic stays serialized).  Both modes must
   // produce identical results — the collection strategy is invisible to the
-  // program.  On native heaps the same switch is the MPNJ_GC_PARALLEL
-  // environment variable (=0 restores sequential collection).
+  // program.  Every heap takes the same switch explicitly, as
+  // HeapConfig::parallel_gc (false restores sequential collection).
   bench::header("T6", "parallel vs sequential collection pause (4 procs)",
                 "avg GC pause drops >= 2x on copy-heavy workloads when the "
                 "stopped procs help copy; checksums are identical");

@@ -55,14 +55,6 @@ struct Outcome {
   std::uint64_t cards_scanned = 0;
 };
 
-double percentile(std::vector<std::uint64_t> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return static_cast<double>(v[std::min(idx, v.size() - 1)]);
-}
-
 // Run `setup` on the root proc, then `lane_body(heap, lane)` on all four
 // procs in parallel (lane 0 stays on the forking flow), then `finish` once
 // every lane has drained.  `finish` must also reset any GlobalRoots it was
@@ -270,19 +262,18 @@ int main(int argc, char** argv) {
     std::vector<std::uint64_t> card_minors;
     for (const RemsetMode mode : {RemsetMode::kList, RemsetMode::kCard}) {
       const int m = mode == RemsetMode::kCard ? 1 : 0;
-      const Outcome o = w.run(mode, w.ops);
+      Outcome o = w.run(mode, w.ops);
+      std::sort(o.minor_us.begin(), o.minor_us.end());
       sums[m] = o.checksum;
-      p999[m] = percentile(o.minor_us, 0.999);
+      p999[m] = bench::percentile(o.minor_us, 0.999);
       if (m != 0) card_minors = o.minor_us;
       std::printf("%-5s %-6s %8zu %8llu %9.0f %9.0f %9.0f %9.0f %10llu\n",
                   w.name, m != 0 ? "card" : "list", o.minor_us.size(),
                   static_cast<unsigned long long>(o.majors),
-                  percentile(o.minor_us, 0.50), percentile(o.minor_us, 0.99),
-                  p999[m],
-                  o.minor_us.empty()
-                      ? 0.0
-                      : static_cast<double>(*std::max_element(
-                            o.minor_us.begin(), o.minor_us.end())),
+                  bench::percentile(o.minor_us, 0.50),
+                  bench::percentile(o.minor_us, 0.99), p999[m],
+                  o.minor_us.empty() ? 0.0
+                                     : static_cast<double>(o.minor_us.back()),
                   static_cast<unsigned long long>(o.stores));
     }
     if (sums[0] != sums[1]) {
@@ -298,11 +289,9 @@ int main(int argc, char** argv) {
       // dropped first: these are wall-clock measurements on a shared
       // machine, and one OS preemption blip should not fail CI.  The table
       // above still reports the raw distribution.
-      std::vector<std::uint64_t> gated = card_minors;
-      if (gated.size() > 1) {
-        gated.erase(std::max_element(gated.begin(), gated.end()));
-      }
-      const double gated_p999 = percentile(gated, 0.999);
+      std::vector<std::uint64_t> gated = card_minors;  // sorted
+      if (gated.size() > 1) gated.pop_back();
+      const double gated_p999 = bench::percentile(gated, 0.999);
       if (gated_p999 > budget_us) {
         std::printf("FAIL: %s card-mode minor p99.9 %.0fus exceeds budget "
                     "%.0fus\n",

@@ -45,13 +45,6 @@ struct Outcome {
   double gc_pause_total_us = 0;
 };
 
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 // One closed-loop run: `conns` connections, each keeping `window` pipelined
 // requests in flight, `ops` requests per connection (90% point ops, 10%
 // RANGE).  Latency is measured at the client — batch flush to that reply's
@@ -189,9 +182,9 @@ Outcome run_kv(mp::Platform& platform, int procs, int conns, int ops,
   std::vector<double> all;
   for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
-  out.p50_us = percentile(all, 0.50);
-  out.p99_us = percentile(all, 0.99);
-  out.p999_us = percentile(all, 0.999);
+  out.p50_us = bench::percentile(all, 0.50);
+  out.p99_us = bench::percentile(all, 0.99);
+  out.p999_us = bench::percentile(all, 0.999);
   const double total_ops = static_cast<double>(conns) * ops;
   out.kops_per_s =
       out.elapsed_us > 0 ? total_ops / (out.elapsed_us / 1e6) / 1e3 : 0;

@@ -375,6 +375,7 @@ class Channel {
         w.thread_id = tid;
         w.base_index = idx;
         w.gc_payload = false;
+        drop_dead(rcvrs_);
         rcvrs_.push_back(std::move(w));
         p.unlock(ch_lock_);
         MPNJ_METRIC_COUNT(kCmlOffersParked, 1);
@@ -435,6 +436,7 @@ class Channel {
         if (gc_payload) {
           w.root = gc::GlobalRoot(p.heap(), gc::Value::from_raw_bits(payload));
         }
+        drop_dead(sndrs_);
         sndrs_.push_back(std::move(w));
         p.unlock(ch_lock_);
         MPNJ_METRIC_COUNT(kCmlOffersParked, 1);
@@ -468,6 +470,15 @@ class Channel {
       *out = 0;  // the sender's result is unit
       return detail::Outcome::kCommitted;
     }
+  }
+
+  // Drops the offers of `q` whose sync committed through another base, so a
+  // select that keeps losing here does not pin one continuation per loss
+  // until a partner scans past it.  Claimed offers stay: the claimant may
+  // retract.  Called under ch_lock_ before each push onto `q`.
+  static void drop_dead(std::deque<detail::Waiter>& q) {
+    std::erase_if(q,
+                  [](const detail::Waiter& w) { return w.state->synched(); });
   }
 
   threads::Scheduler& sched_;

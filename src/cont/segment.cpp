@@ -79,10 +79,8 @@ void StackSegment::stamp_owner(int tid, const char* name) noexcept {
   } else if (name == nullptr) {
     owner_name_[0] = '\0';
   }
-  if (slot_info_ != nullptr) {
-    std::memcpy(slot_info_->name, owner_name_, sizeof(owner_name_));
-    slot_info_->tid.store(tid, std::memory_order_relaxed);
-  }
+  std::memcpy(slot_info_->name, owner_name_, sizeof(owner_name_));
+  slot_info_->tid.store(tid, std::memory_order_relaxed);
 }
 
 void StackSegment::destroy_boot_record() noexcept {
@@ -122,9 +120,7 @@ void SegmentPool::configure(const StackConfig& cfg) {
         st.hot = seg->free_next_;
         seg->free_next_ = nullptr;
         madvise(seg->stack_base(), usable_total(seg), MADV_DONTNEED);
-        if (seg->slot_info_ != nullptr) {
-          seg->slot_info_->committed.store(0, std::memory_order_relaxed);
-        }
+        seg->slot_info_->committed.store(0, std::memory_order_relaxed);
         dec += static_cast<std::int64_t>(usable_total(seg));
       }
       st.hot_count = 0;
@@ -179,32 +175,9 @@ StackSegment* SegmentPool::carve_locked(int c, std::int64_t* commit) {
   seg->usable_base_ = ub;
   seg->usable_size_ = a->usable - StackSegment::kBootReserve;
   seg->klass_ = cls;
-  seg->arena_ = a;
   seg->slot_info_ = &a->slots[idx];
   seg->gen_ = gen_.load(std::memory_order_relaxed);
   *commit += static_cast<std::int64_t>(a->usable);
-  created_.fetch_add(1, std::memory_order_relaxed);
-  return seg;
-}
-
-StackSegment* SegmentPool::allocate_baseline(StackClass cls) {
-  // The pre-pool shape, kept as the A/B baseline (MPNJ_STACK_POOL=0): one
-  // private mmap per segment with a single guard page, munmapped on release.
-  const std::size_t guard = page_size();
-  const std::size_t usable = round_up(config_.class_bytes(cls), page_size());
-  const std::size_t total = guard + usable;
-  void* mem = mmap(nullptr, total, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) arch::panic("segment mmap failed");
-  if (mprotect(mem, guard, PROT_NONE) != 0) {
-    arch::panic("segment guard mprotect failed");
-  }
-  auto* seg = new StackSegment();
-  seg->map_base_ = static_cast<std::byte*>(mem);
-  seg->map_size_ = total;
-  seg->usable_base_ = seg->map_base_ + guard;
-  seg->usable_size_ = usable - StackSegment::kBootReserve;
-  seg->klass_ = cls;
   created_.fetch_add(1, std::memory_order_relaxed);
   return seg;
 }
@@ -217,60 +190,53 @@ StackSegment* SegmentPool::acquire(StackClass cls) {
   const int c = static_cast<int>(cls);
   StackSegment* seg = nullptr;
   std::int64_t commit = 0;
-  if (config_.pooling) {
-    ExecContext* ex = current_exec();
-    StackCache* cache = (ex != nullptr && config_.cache_slots_per_proc > 0)
-                            ? &ex->stack_cache
-                            : nullptr;
-    while (cache != nullptr && cache->head[c] != nullptr) {
-      StackSegment* s = cache->head[c];
-      cache->head[c] = s->free_next_;
-      cache->count[c]--;
-      s->free_next_ = nullptr;
-      if (s->gen_ != gen_.load(std::memory_order_relaxed)) {
-        retire_slot(s);  // parked under an old geometry; never reused
-        continue;
-      }
-      seg = s;
-      break;
+  ExecContext* ex = current_exec();
+  StackCache* cache = (ex != nullptr && config_.cache_slots_per_proc > 0)
+                          ? &ex->stack_cache
+                          : nullptr;
+  while (cache != nullptr && cache->head[c] != nullptr) {
+    StackSegment* s = cache->head[c];
+    cache->head[c] = s->free_next_;
+    cache->count[c]--;
+    s->free_next_ = nullptr;
+    if (s->gen_ != gen_.load(std::memory_order_relaxed)) {
+      retire_slot(s);  // parked under an old geometry; never reused
+      continue;
     }
-    if (seg == nullptr) {
-      arch::TasGuard guard(lock_);
-      ClassState& st = classes_[c];
-      if (st.hot != nullptr) {
-        seg = st.hot;
-        st.hot = seg->free_next_;
-        st.hot_count--;
-        seg->free_next_ = nullptr;
-      } else if (st.cold != nullptr) {
-        seg = st.cold;
-        st.cold = seg->free_next_;
-        st.cold_count--;
-        seg->free_next_ = nullptr;
-        // Decommitted pages repopulate (zero-filled) on first touch; the
-        // protection never changed, so no syscall is needed here.
-        commit = static_cast<std::int64_t>(usable_total(seg));
-      } else {
-        seg = carve_locked(c, &commit);
-      }
-    }
-    if (commit > 0) {
-      MPNJ_METRIC_COUNT(kContPoolMisses, 1);
+    seg = s;
+    break;
+  }
+  if (seg == nullptr) {
+    arch::TasGuard guard(lock_);
+    ClassState& st = classes_[c];
+    if (st.hot != nullptr) {
+      seg = st.hot;
+      st.hot = seg->free_next_;
+      st.hot_count--;
+      seg->free_next_ = nullptr;
+    } else if (st.cold != nullptr) {
+      seg = st.cold;
+      st.cold = seg->free_next_;
+      st.cold_count--;
+      seg->free_next_ = nullptr;
+      // Decommitted pages repopulate (zero-filled) on first touch; the
+      // protection never changed, so no syscall is needed here.
+      commit = static_cast<std::int64_t>(usable_total(seg));
     } else {
-      MPNJ_METRIC_COUNT(kContPoolHits, 1);
+      seg = carve_locked(c, &commit);
     }
+  }
+  if (commit > 0) {
+    MPNJ_METRIC_COUNT(kContPoolMisses, 1);
   } else {
-    seg = allocate_baseline(cls);
-    commit = static_cast<std::int64_t>(usable_total(seg));
+    MPNJ_METRIC_COUNT(kContPoolHits, 1);
   }
   seg->refs_.store(1, std::memory_order_relaxed);
   seg->parent_cont = nullptr;
   seg->boot_record = nullptr;
   seg->boot_inplace = false;
   seg->stamp_owner(-1, nullptr);
-  if (seg->slot_info_ != nullptr) {
-    seg->slot_info_->committed.store(1, std::memory_order_relaxed);
-  }
+  seg->slot_info_->committed.store(1, std::memory_order_relaxed);
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   account(commit, 0);
   return seg;
@@ -294,10 +260,6 @@ void SegmentPool::recycle(StackSegment* seg) noexcept {
     seg->parent_cont = nullptr;
   }
   outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  if (seg->arena_ == nullptr) {
-    release_baseline(seg);
-    return;
-  }
   seg->stamp_owner(-1, nullptr);
   if (seg->gen_ != gen_.load(std::memory_order_relaxed)) {
     retire_slot(seg);
@@ -330,9 +292,7 @@ void SegmentPool::release_to_global(StackSegment* seg) noexcept {
       st.hot_count++;
     } else {
       madvise(seg->stack_base(), usable_total(seg), MADV_DONTNEED);
-      if (seg->slot_info_ != nullptr) {
-        seg->slot_info_->committed.store(0, std::memory_order_relaxed);
-      }
+      seg->slot_info_->committed.store(0, std::memory_order_relaxed);
       seg->free_next_ = st.cold;
       st.cold = seg;
       st.cold_count++;
@@ -345,17 +305,8 @@ void SegmentPool::release_to_global(StackSegment* seg) noexcept {
 
 void SegmentPool::retire_slot(StackSegment* seg) noexcept {
   madvise(seg->stack_base(), usable_total(seg), MADV_DONTNEED);
-  if (seg->slot_info_ != nullptr) {
-    seg->slot_info_->committed.store(0, std::memory_order_relaxed);
-  }
+  seg->slot_info_->committed.store(0, std::memory_order_relaxed);
   account(0, static_cast<std::int64_t>(usable_total(seg)));
-}
-
-void SegmentPool::release_baseline(StackSegment* seg) noexcept {
-  const std::int64_t dec = static_cast<std::int64_t>(usable_total(seg));
-  munmap(seg->map_base_, seg->map_size_);
-  delete seg;
-  account(0, dec);
 }
 
 void SegmentPool::flush_cache(StackCache* cache) noexcept {
@@ -386,9 +337,7 @@ void SegmentPool::trim() {
         st.hot = seg->free_next_;
         st.hot_count--;
         madvise(seg->stack_base(), usable_total(seg), MADV_DONTNEED);
-        if (seg->slot_info_ != nullptr) {
-          seg->slot_info_->committed.store(0, std::memory_order_relaxed);
-        }
+        seg->slot_info_->committed.store(0, std::memory_order_relaxed);
         seg->free_next_ = st.cold;
         st.cold = seg;
         st.cold_count++;

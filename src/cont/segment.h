@@ -101,12 +101,9 @@ class StackSegment {
   std::byte* usable_base_ = nullptr;
   std::size_t usable_size_ = 0;  // excludes kBootReserve
   StackClass klass_ = StackClass::kLarge;
-  SlotArena* arena_ = nullptr;  // null for unpooled (baseline) segments
   arch::stackfault::SlotInfo* slot_info_ = nullptr;
   std::uint64_t gen_ = 0;  // pool generation the slot was carved under
-  std::byte* map_base_ = nullptr;   // baseline segments: start of the mmap
-  std::size_t map_size_ = 0;        //   (guard page + usable)
-  int owner_tid_ = -1;              // shadow of slot_info_ for hand-off
+  int owner_tid_ = -1;     // shadow of slot_info_ for hand-off
   char owner_name_[24] = {};
   StackSegment* free_next_ = nullptr;
 };
@@ -175,10 +172,8 @@ class SegmentPool {
   };
 
   StackSegment* carve_locked(int c, std::int64_t* commit);
-  StackSegment* allocate_baseline(StackClass cls);
   void retire_slot(StackSegment* seg) noexcept;
   void release_to_global(StackSegment* seg) noexcept;
-  void release_baseline(StackSegment* seg) noexcept;
   void account(std::int64_t commit, std::int64_t decommit) noexcept;
 
   arch::TasWord lock_;

@@ -1,7 +1,5 @@
 #include "cont/stack_config.h"
 
-#include <cstdlib>
-
 #include "arch/panic.h"
 
 namespace mp::cont {
@@ -21,14 +19,6 @@ void StackConfig::validate() const {
              "stack config: more than 2^20 slots per arena");
   MPNJ_CHECK(cache_slots_per_proc <= 4096,
              "stack config: per-proc slot cache above the 4096 cap");
-}
-
-bool StackConfig::default_pooling() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("MPNJ_STACK_POOL");
-    return v == nullptr || v[0] != '0';
-  }();
-  return enabled;
 }
 
 }  // namespace mp::cont

@@ -52,12 +52,6 @@ struct StackConfig {
   // tracks the live-thread population instead of its high-water mark.
   std::size_t global_free_target = 256;
 
-  // Master switch for slot pooling.  When false every segment is a private
-  // mmap/munmap pair exactly like the seed — the A/B baseline for the
-  // fork+join numbers.  Defaults from MPNJ_STACK_POOL: unset or any value
-  // but "0" enables pooling.
-  bool pooling = default_pooling();
-
   StackConfig& with_small_stack_bytes(std::size_t v) {
     small_stack_bytes = v;
     return *this;
@@ -82,10 +76,6 @@ struct StackConfig {
     global_free_target = v;
     return *this;
   }
-  StackConfig& with_pooling(bool v) {
-    pooling = v;
-    return *this;
-  }
 
   std::size_t class_bytes(StackClass c) const noexcept {
     return c == StackClass::kSmall ? small_stack_bytes : large_stack_bytes;
@@ -94,16 +84,13 @@ struct StackConfig {
   // Panics with a clear message on any degenerate setting.
   void validate() const;
 
-  static bool default_pooling();
-
   friend bool operator==(const StackConfig& a, const StackConfig& b) noexcept {
     return a.small_stack_bytes == b.small_stack_bytes &&
            a.large_stack_bytes == b.large_stack_bytes &&
            a.guard_pages == b.guard_pages &&
            a.slots_per_arena == b.slots_per_arena &&
            a.cache_slots_per_proc == b.cache_slots_per_proc &&
-           a.global_free_target == b.global_free_target &&
-           a.pooling == b.pooling;
+           a.global_free_target == b.global_free_target;
   }
   friend bool operator!=(const StackConfig& a, const StackConfig& b) noexcept {
     return !(a == b);

@@ -33,7 +33,7 @@ SimPlatformConfig base_config(const ScenarioOpts& o) {
 
 threads::SchedulerConfig sched_config(const ScenarioOpts& o) {
   threads::SchedulerConfig cfg;
-  if (o.queue == "ws" || o.queue == "work-stealing") {
+  if (o.queue == "ws") {
     cfg.queue = std::make_unique<threads::WorkStealingQueue>();
   } else if (o.queue == "distributed") {
     cfg.queue = std::make_unique<threads::DistributedQueue>();

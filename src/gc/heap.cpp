@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -56,25 +55,6 @@ class TempRoots {
 }  // namespace
 
 // ----- configuration -----
-
-bool HeapConfig::default_parallel_gc() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MPNJ_GC_PARALLEL");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return enabled;
-}
-
-RemsetMode HeapConfig::default_remset() {
-  static const RemsetMode mode = [] {
-    const char* env = std::getenv("MPNJ_GC_REMSET");
-    if (env != nullptr && std::strcmp(env, "list") == 0) {
-      return RemsetMode::kList;
-    }
-    return RemsetMode::kCard;
-  }();
-  return mode;
-}
 
 bool HeapConfig::default_verify_after_phase() {
 #ifndef NDEBUG

@@ -27,7 +27,7 @@ namespace mp::gc {
 //   kList  the paper-faithful SML/NJ store list: every store into the old
 //          generation appends the slot address; minor collections sort,
 //          deduplicate and forward the whole list.  Kept as the ablation
-//          baseline (MPNJ_GC_REMSET=list).
+//          baseline (HeapConfig::with_remset(RemsetMode::kList)).
 enum class RemsetMode : std::uint8_t { kCard = 0, kList = 1 };
 
 // Sizing of the two-generation heap.  The nursery is the shared "allocation
@@ -54,19 +54,16 @@ struct HeapConfig {
   std::size_t old_bytes = 32u << 20;  // per semispace; power of two
   double major_fraction = 0.75;
   // Run collections with every rendezvoused proc as a copy worker (see
-  // gc/parallel_copy.h).  Defaults from the MPNJ_GC_PARALLEL environment
-  // variable: unset or any value but "0" enables, "0" restores the paper's
-  // sequential collection.
-  bool parallel_gc = default_parallel_gc();
+  // gc/parallel_copy.h); false restores the paper's sequential collection.
+  bool parallel_gc = true;
   // To-space granule each parallel worker carves per frontier fetch_add;
   // power of two, at least 64 words.  In card remset mode blocks are rounded
   // up to whole cards so each card's crossing-map entry has one writer, so
   // card_bytes must not exceed par_block_words * 8.
   std::size_t par_block_words = 1024;
 
-  // Remembered-set mode; defaults from MPNJ_GC_REMSET ("list" restores the
-  // paper's store list, anything else selects the card table).
-  RemsetMode remset = default_remset();
+  // Remembered-set mode; kList restores the paper's store list.
+  RemsetMode remset = RemsetMode::kCard;
   // Card granularity (bytes of old generation per dirty byte); power of two,
   // >= 64, <= par_block_words * 8 and <= old_bytes.
   std::size_t card_bytes = 512;
@@ -147,8 +144,6 @@ struct HeapConfig {
   // constructor, callable directly by tests.
   void validate() const;
 
-  static bool default_parallel_gc();
-  static RemsetMode default_remset();
   static bool default_verify_after_phase();
 };
 

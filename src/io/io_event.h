@@ -34,13 +34,17 @@ inline cml::Event<cont::Unit> readable_event(Stream s) {
         // Park an offer: readiness commits it exactly like a channel
         // partner or a timer would (Event::after's shape).  A stale fire —
         // the sync already committed elsewhere — loses try_commit_partner
-        // and is a no-op.
-        impl->on_readable([impl, own, k, idx, tid, &sched] {
-          if (own->try_commit_partner(idx, sched.platform())) {
-            k.get()->preload(0, false);
-            sched.reschedule(threads::ThreadState{k, tid});
-          }
-        });
+        // and is a no-op.  Such an offer reports itself dead, so the
+        // source's next registration drops it; the raw state pointer stays
+        // valid because `own`, in the fire callback stored beside it, does.
+        impl->on_readable(
+            [impl, own, k, idx, tid, &sched] {
+              if (own->try_commit_partner(idx, sched.platform())) {
+                k.get()->preload(0, false);
+                sched.reschedule(threads::ThreadState{k, tid});
+              }
+            },
+            [st = own.get()] { return st->synched(); });
         return cml::detail::Outcome::kBlocked;
       },
       [](std::uint64_t) { return cont::Unit{}; });

@@ -148,11 +148,14 @@ void Reactor::rearm(int fd, FdEntry& e) {
   if (want & ~old) wake_->signal();
 }
 
-void Reactor::add_waiter(int fd, Interest interest, std::function<void()> fire) {
+void Reactor::add_waiter(int fd, Interest interest, std::function<void()> fire,
+                         std::function<bool()> dead) {
   const unsigned mask = static_cast<unsigned>(interest);
+  std::vector<Waiter> pruned;  // destroyed after the unlock (see take_dead)
   plat_.lock(lock_);
   FdEntry& e = fds_[fd];
-  e.waiters.push_back(Waiter{mask, std::move(fire)});
+  detail::take_dead(e.waiters, pruned);
+  e.waiters.push_back(Waiter{mask, std::move(fire), std::move(dead)});
   rearm(fd, e);
   if (e.armed == 0) {
     // Unpollable fd (see rearm): fire now rather than never.

@@ -34,6 +34,30 @@
 
 namespace mp::io {
 
+namespace detail {
+
+// Moves the callbacks of `ws` whose `dead` predicate holds to `out`,
+// keeping the rest in order.  The readiness registries (reactor fd
+// waiters, pipe readable callbacks) call it under their lock before each
+// push, so a select that keeps losing on a silent source does not pin one
+// continuation per loss; offers that are claimed but not committed are not
+// dead.  Destroy `out` after unlocking: a callback may hold the last handle
+// on a stream, whose close takes the lock.
+template <typename W>
+void take_dead(std::vector<W>& ws, std::vector<W>& out) {
+  auto keep = ws.begin();
+  for (auto& w : ws) {
+    if (w.dead && w.dead()) {
+      out.push_back(std::move(w));
+    } else {
+      *keep++ = std::move(w);
+    }
+  }
+  ws.erase(keep, ws.end());
+}
+
+}  // namespace detail
+
 enum class Interest : unsigned { kRead = 1u, kWrite = 2u };
 
 struct ReactorConfig {
@@ -64,8 +88,12 @@ class Reactor final : public threads::IdleWaiter {
   // drains the readiness event, with preemption masked — it must be brief
   // and non-blocking (typical body: reschedule a thread or commit a CML
   // offer).  Fires immediately if registration with the kernel fails with
-  // EPERM (regular files: always ready).
-  void add_waiter(int fd, Interest interest, std::function<void()> fire);
+  // EPERM (regular files: always ready).  `dead`, if given, reports that
+  // firing would do nothing any more; such a waiter is dropped unfired at
+  // the fd's next registration (see detail::take_dead).  It runs under the
+  // reactor lock, so it must only read state.
+  void add_waiter(int fd, Interest interest, std::function<void()> fire,
+                  std::function<bool()> dead = nullptr);
 
   // Drop `fd` from the demultiplexer and fire all of its parked waiters
   // (they re-poll and observe whatever state — usually EOF — made the
@@ -83,6 +111,7 @@ class Reactor final : public threads::IdleWaiter {
   struct Waiter {
     unsigned mask;
     std::function<void()> fire;
+    std::function<bool()> dead;
   };
   struct FdEntry {
     unsigned armed = 0;  // interest mask currently registered in the kernel

@@ -29,6 +29,12 @@ constexpr double kPipeInstrPerByte = 0.25;
 
 // ----- virtual pipes -----
 
+// A parked one-shot readable callback (StreamImpl::on_readable).
+struct ReadableCb {
+  std::function<void()> fire;
+  std::function<bool()> dead;
+};
+
 // Shared state of one pipe: a bounded byte ring plus parked readers,
 // writers and one-shot readable callbacks.  All transitions happen under
 // the platform lock; wakeups are collected inside and run after unlock
@@ -44,7 +50,7 @@ struct PipeCore {
   bool wr_closed = false;
   std::deque<threads::ThreadState> readers;
   std::deque<threads::ThreadState> writers;
-  std::vector<std::function<void()>> readable_cbs;
+  std::vector<ReadableCb> readable_cbs;
 
   PipeCore(threads::Scheduler& s, std::size_t capacity)
       : sched(s), plat(s.platform()), ring(capacity) {
@@ -80,9 +86,9 @@ struct PipeCore {
   }
 
   void run_wakeups(std::vector<threads::ThreadState>& threads,
-                   std::vector<std::function<void()>>& cbs) {
+                   std::vector<ReadableCb>& cbs) {
     for (auto& t : threads) sched.reschedule(std::move(t));
-    for (auto& cb : cbs) cb();
+    for (auto& cb : cbs) cb.fire();
     threads.clear();
     cbs.clear();
   }
@@ -104,7 +110,7 @@ class PipeEnd final : public StreamImpl {
     if (n == 0) return 0;
     PipeCore& c = *core_;
     std::vector<threads::ThreadState> wake;
-    std::vector<std::function<void()>> cbs;
+    std::vector<ReadableCb> cbs;
     c.plat.lock(c.lock);
     for (;;) {
       if (c.count > 0) {
@@ -146,7 +152,7 @@ class PipeEnd final : public StreamImpl {
     const auto* in = static_cast<const unsigned char*>(buf);
     std::size_t off = 0;
     std::vector<threads::ThreadState> wake;
-    std::vector<std::function<void()>> cbs;
+    std::vector<ReadableCb> cbs;
     c.plat.lock(c.lock);
     while (off < n) {
       if (c.rd_closed) {
@@ -190,23 +196,26 @@ class PipeEnd final : public StreamImpl {
     return r;
   }
 
-  void on_readable(std::function<void()> fire) override {
+  void on_readable(std::function<void()> fire,
+                   std::function<bool()> dead) override {
     MPNJ_CHECK(readable_end_, "readiness wait on the write end of a pipe");
     PipeCore& c = *core_;
+    std::vector<ReadableCb> pruned;  // destroyed after the unlock
     c.plat.lock(c.lock);
     if (c.readable_locked()) {
       c.plat.unlock(c.lock);
       fire();
       return;
     }
-    c.readable_cbs.push_back(std::move(fire));
+    detail::take_dead(c.readable_cbs, pruned);
+    c.readable_cbs.push_back(ReadableCb{std::move(fire), std::move(dead)});
     c.plat.unlock(c.lock);
   }
 
   void close() override {
     PipeCore& c = *core_;
     std::vector<threads::ThreadState> wake;
-    std::vector<std::function<void()>> cbs;
+    std::vector<ReadableCb> cbs;
     c.plat.lock(c.lock);
     if (closed_) {
       c.plat.unlock(c.lock);
@@ -303,14 +312,16 @@ class FdStream final : public StreamImpl {
     return n > 0 && (pf.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
   }
 
-  void on_readable(std::function<void()> fire) override {
+  void on_readable(std::function<void()> fire,
+                   std::function<bool()> dead) override {
     // Fast path only: the reactor's demultiplexer is level-triggered, so a
     // readiness edge between this check and the registration still fires.
     if (poll_readable()) {
       fire();
       return;
     }
-    reactor_.add_waiter(fd_, Interest::kRead, std::move(fire));
+    reactor_.add_waiter(fd_, Interest::kRead, std::move(fire),
+                        std::move(dead));
   }
 
   void close() override {

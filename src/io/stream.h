@@ -47,8 +47,11 @@ class StreamImpl {
   virtual bool poll_readable() = 0;
   // One-shot callback when the stream becomes readable (or hits EOF).
   // Runs from whichever proc observes readiness; must be brief and
-  // non-blocking.  Fires immediately if already readable.
-  virtual void on_readable(std::function<void()> fire) = 0;
+  // non-blocking.  Fires immediately if already readable.  Once `dead`
+  // holds, the next registration drops it unfired (see detail::take_dead);
+  // `dead` runs under the stream's registry lock and must only read state.
+  virtual void on_readable(std::function<void()> fire,
+                           std::function<bool()> dead) = 0;
   virtual void close() = 0;
 };
 

@@ -7,60 +7,37 @@
 
 namespace mp::threads {
 
-void CentralFifoQueue::enq(Platform& p, ThreadState t) {
+void CentralQueue::enq(Platform& p, ThreadState t) {
   p.lock(lock_);
   q_.push_back(std::move(t));
   p.unlock(lock_);
 }
 
-std::optional<ThreadState> CentralFifoQueue::deq(Platform& p) {
+std::optional<ThreadState> CentralQueue::deq(Platform& p) {
   p.lock(lock_);
   if (q_.empty()) {
     p.unlock(lock_);
     return std::nullopt;
   }
-  ThreadState t = std::move(q_.front());
-  q_.pop_front();
-  p.unlock(lock_);
-  return t;
-}
-
-void CentralLifoQueue::enq(Platform& p, ThreadState t) {
-  p.lock(lock_);
-  q_.push_back(std::move(t));
-  p.unlock(lock_);
-}
-
-std::optional<ThreadState> CentralLifoQueue::deq(Platform& p) {
-  p.lock(lock_);
-  if (q_.empty()) {
-    p.unlock(lock_);
-    return std::nullopt;
+  if (order_ == Order::kRandom) {
+    std::swap(q_[p.rng().below(q_.size())], q_.back());
   }
-  ThreadState t = std::move(q_.back());
-  q_.pop_back();
-  p.unlock(lock_);
-  return t;
-}
-
-void RandomQueue::enq(Platform& p, ThreadState t) {
-  p.lock(lock_);
-  q_.push_back(std::move(t));
-  p.unlock(lock_);
-}
-
-std::optional<ThreadState> RandomQueue::deq(Platform& p) {
-  p.lock(lock_);
-  if (q_.empty()) {
-    p.unlock(lock_);
-    return std::nullopt;
+  ThreadState t;
+  if (order_ == Order::kFifo) {
+    t = std::move(q_.front());
+    q_.pop_front();
+  } else {
+    t = std::move(q_.back());
+    q_.pop_back();
   }
-  const std::size_t i = p.rng().below(q_.size());
-  std::swap(q_[i], q_.back());
-  ThreadState t = std::move(q_.back());
-  q_.pop_back();
   p.unlock(lock_);
   return t;
+}
+
+const char* CentralQueue::name() const {
+  static const char* const kNames[] = {"central-fifo", "central-lifo",
+                                       "central-random"};
+  return kNames[static_cast<int>(order_)];
 }
 
 namespace {

@@ -35,44 +35,26 @@ class ReadyQueue {
   virtual const char* name() const = 0;
 };
 
-// Central FIFO queue under one lock — the paper's Figure 3 configuration.
-class CentralFifoQueue final : public ReadyQueue {
+// The central run queue: one deque under one lock, taken in one of three
+// orders.  kFifo is the paper's Figure 3 configuration; kLifo (a stack)
+// favours cache-warm recent work; kRandom dequeues a uniformly random
+// waiting thread (the paper notes FIFO and randomized queues both match the
+// QUEUE signature).
+class CentralQueue final : public ReadyQueue {
  public:
+  enum class Order { kFifo, kLifo, kRandom };
+
+  explicit CentralQueue(Order order = Order::kFifo) : order_(order) {}
+
   void init(Platform& p) override { lock_ = p.mutex_lock(); }
   void enq(Platform& p, ThreadState t) override;
   std::optional<ThreadState> deq(Platform& p) override;
-  const char* name() const override { return "central-fifo"; }
+  const char* name() const override;
 
  private:
+  Order order_;
   MutexLock lock_;
   std::deque<ThreadState> q_;
-};
-
-// Central LIFO (stack) discipline: favours cache-warm recent work.
-class CentralLifoQueue final : public ReadyQueue {
- public:
-  void init(Platform& p) override { lock_ = p.mutex_lock(); }
-  void enq(Platform& p, ThreadState t) override;
-  std::optional<ThreadState> deq(Platform& p) override;
-  const char* name() const override { return "central-lifo"; }
-
- private:
-  MutexLock lock_;
-  std::deque<ThreadState> q_;
-};
-
-// Randomized discipline (the paper notes FIFO and randomized queues both
-// match the QUEUE signature): dequeues a uniformly random waiting thread.
-class RandomQueue final : public ReadyQueue {
- public:
-  void init(Platform& p) override { lock_ = p.mutex_lock(); }
-  void enq(Platform& p, ThreadState t) override;
-  std::optional<ThreadState> deq(Platform& p) override;
-  const char* name() const override { return "central-random"; }
-
- private:
-  MutexLock lock_;
-  std::vector<ThreadState> q_;
 };
 
 // Priority discipline (the paper's footnote 1: "priority queues would need
@@ -137,7 +119,7 @@ class DistributedQueue final : public ReadyQueue {
 // behind its proc's other work; with LIFO it would re-dispatch itself and
 // starve them).  kLifo keeps the textbook Chase–Lev owner pop at the
 // bottom for depth-first fork/join ablation, with the same starvation
-// caveat as CentralLifoQueue.
+// caveat as the central queue's LIFO order.
 class WorkStealingQueue final : public ReadyQueue {
  public:
   enum class OwnerOrder { kFifo, kLifo };

@@ -6,22 +6,22 @@
 namespace mp::workloads {
 
 std::unique_ptr<threads::ReadyQueue> make_queue(const std::string& name) {
-  if (name == "ws" || name == "work-stealing") {
-    return std::make_unique<threads::WorkStealingQueue>();
-  }
+  using threads::CentralQueue;
+  using threads::WorkStealingQueue;
+  if (name == "ws") return std::make_unique<WorkStealingQueue>();
   if (name == "ws-lifo") {
-    return std::make_unique<threads::WorkStealingQueue>(
-        threads::WorkStealingQueue::OwnerOrder::kLifo);
+    return std::make_unique<WorkStealingQueue>(
+        WorkStealingQueue::OwnerOrder::kLifo);
   }
   if (name == "distributed") return std::make_unique<threads::DistributedQueue>();
-  if (name == "fifo" || name == "central-fifo") {
-    return std::make_unique<threads::CentralFifoQueue>();
+  if (name == "central-fifo") {
+    return std::make_unique<CentralQueue>(CentralQueue::Order::kFifo);
   }
-  if (name == "lifo" || name == "central-lifo") {
-    return std::make_unique<threads::CentralLifoQueue>();
+  if (name == "central-lifo") {
+    return std::make_unique<CentralQueue>(CentralQueue::Order::kLifo);
   }
-  if (name == "random" || name == "central-random") {
-    return std::make_unique<threads::RandomQueue>();
+  if (name == "central-random") {
+    return std::make_unique<CentralQueue>(CentralQueue::Order::kRandom);
   }
   arch::panic("unknown queue discipline '%s'", name.c_str());
 }

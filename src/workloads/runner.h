@@ -28,7 +28,7 @@ struct SimRunSpec {
   // Queue discipline (the paper-faithful harness default is the evaluated
   // distributed lock-per-proc configuration; the scheduler's own default is
   // "ws").  Accepted: ws|ws-lifo|distributed|central-fifo|central-lifo|
-  // central-random (plus the bare fifo|lifo|random aliases).
+  // central-random.
   std::string queue = "distributed";
   double lock_backoff_us = 0;
   // T5 ablation: make collections free of virtual time ("if garbage

@@ -35,6 +35,10 @@ using mp::gc::RemsetMode;
 using mp::gc::Roots;
 using mp::gc::Value;
 
+// Every test that does not pin a remset runs on this one, and again on the
+// paper's store list (the StoreList instantiations).
+const RemsetMode kDefaultRemset = HeapConfig{}.remset;
+
 // Single-proc harness (same shape as gc_test): a ManualProc execution
 // context plus collector hooks that additionally record the new latency-GC
 // accounting charges.
@@ -85,11 +89,33 @@ class GcLatencyTest : public ::testing::Test {
     mp::cont::run_from_idle(mp::cont::make_entry(std::move(f)), exec_);
   }
 
+  // The bodies of the tests that leave the remset at its default:
+  // GcLatencyTest runs each on the default remset, GcLatencyRemsetTest on
+  // the remset its parameter names.
+  void los_young_init_fields_survive_minor();
+  void los_sweep_frees_unreachable_runs();
+  void los_pressure_escalates_to_major();
+  void pause_log_records_exact_samples();
+
+  // The configuration those bodies start from.
+  HeapConfig base_;
   mp::cont::ExecContext exec_;
   mp::arch::Context idle_ctx_;
   LatencyHooks hooks_;
   std::unique_ptr<Heap> heap_;
 };
+
+// The tests above that leave the remset at its default, again with
+// HeapConfig::remset set to the parameter; instantiated with the paper's
+// store list, the one non-default value.
+class GcLatencyRemsetTest : public GcLatencyTest,
+                            public ::testing::WithParamInterface<RemsetMode> {
+ protected:
+  GcLatencyRemsetTest() { base_.remset = GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(StoreList, GcLatencyRemsetTest,
+                         ::testing::Values(RemsetMode::kList));
 
 // The store-heavy workload both barrier modes must agree on: an old-gen
 // array table takes hot-skewed stores of freshly allocated records while
@@ -192,8 +218,8 @@ TEST_F(GcLatencyTest, CardScanCostIsChargedToAccounting) {
 // nursery with fields pointing INTO the nursery, and no store barrier ever
 // sees those initializing writes.  LOS objects are born dirty, so the next
 // minor scans them; the old bump-into-old-generation path lost the targets.
-TEST_F(GcLatencyTest, LosYoungInitFieldsSurviveMinor) {
-  Heap& h = make_heap_cfg(HeapConfig{}
+void GcLatencyTest::los_young_init_fields_survive_minor() {
+  Heap& h = make_heap_cfg(HeapConfig(base_)
                               .with_nursery_bytes(64 * 1024)
                               .with_old_bytes(1u << 20));
   on_proc([&] {
@@ -213,9 +239,15 @@ TEST_F(GcLatencyTest, LosYoungInitFieldsSurviveMinor) {
     EXPECT_TRUE(h.verify(&err)) << err;
   });
 }
+TEST_F(GcLatencyTest, LosYoungInitFieldsSurviveMinor) {
+  los_young_init_fields_survive_minor();
+}
+TEST_P(GcLatencyRemsetTest, LosYoungInitFieldsSurviveMinor) {
+  los_young_init_fields_survive_minor();
+}
 
-TEST_F(GcLatencyTest, LosSweepFreesUnreachableRuns) {
-  Heap& h = make_heap_cfg(HeapConfig{}
+void GcLatencyTest::los_sweep_frees_unreachable_runs() {
+  Heap& h = make_heap_cfg(HeapConfig(base_)
                               .with_nursery_bytes(64 * 1024)
                               .with_old_bytes(1u << 20)
                               .with_los_bytes(8u << 20));
@@ -235,9 +267,15 @@ TEST_F(GcLatencyTest, LosSweepFreesUnreachableRuns) {
     EXPECT_GT(hooks_.los_sweep_pages_charged, 0u);
   });
 }
+TEST_F(GcLatencyTest, LosSweepFreesUnreachableRuns) {
+  los_sweep_frees_unreachable_runs();
+}
+TEST_P(GcLatencyRemsetTest, LosSweepFreesUnreachableRuns) {
+  los_sweep_frees_unreachable_runs();
+}
 
-TEST_F(GcLatencyTest, LosPressureEscalatesToMajor) {
-  Heap& h = make_heap_cfg(HeapConfig{}
+void GcLatencyTest::los_pressure_escalates_to_major() {
+  Heap& h = make_heap_cfg(HeapConfig(base_)
                               .with_nursery_bytes(64 * 1024)
                               .with_old_bytes(1u << 20)
                               .with_los_bytes(1u << 20)
@@ -253,9 +291,15 @@ TEST_F(GcLatencyTest, LosPressureEscalatesToMajor) {
     EXPECT_LT(h.los_used_bytes(), (1u << 20) / 2);
   });
 }
+TEST_F(GcLatencyTest, LosPressureEscalatesToMajor) {
+  los_pressure_escalates_to_major();
+}
+TEST_P(GcLatencyRemsetTest, LosPressureEscalatesToMajor) {
+  los_pressure_escalates_to_major();
+}
 
-TEST_F(GcLatencyTest, PauseLogRecordsExactSamples) {
-  Heap& h = make_heap_cfg(HeapConfig{}
+void GcLatencyTest::pause_log_records_exact_samples() {
+  Heap& h = make_heap_cfg(HeapConfig(base_)
                               .with_nursery_bytes(64 * 1024)
                               .with_old_bytes(1u << 20)
                               .with_record_pauses(true));
@@ -267,6 +311,12 @@ TEST_F(GcLatencyTest, PauseLogRecordsExactSamples) {
   ASSERT_EQ(log.size(), 4u);
   // The first three collections were minor-only.
   for (std::size_t i = 0; i < 3; i++) EXPECT_EQ(log[i].major_us, 0u);
+}
+TEST_F(GcLatencyTest, PauseLogRecordsExactSamples) {
+  pause_log_records_exact_samples();
+}
+TEST_P(GcLatencyRemsetTest, PauseLogRecordsExactSamples) {
+  pause_log_records_exact_samples();
 }
 
 // ---------- the large-object space on all three backends ----------
@@ -284,7 +334,8 @@ std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
 
 class GcLatencyBackendTest : public ::testing::TestWithParam<Backend> {
  protected:
-  std::unique_ptr<mp::Platform> make(int procs, const HeapConfig& heap) {
+  std::unique_ptr<mp::Platform> make(int procs, HeapConfig heap) {
+    heap.remset = remset_;
     switch (GetParam()) {
       case Backend::kSim: {
         mp::SimPlatformConfig cfg;
@@ -306,9 +357,19 @@ class GcLatencyBackendTest : public ::testing::TestWithParam<Backend> {
     }
     __builtin_unreachable();
   }
+
+  void los_alloc_survival_and_sweep();
+
+  RemsetMode remset_ = kDefaultRemset;  // the remset make() configures
 };
 
-TEST_P(GcLatencyBackendTest, LosAllocSurvivalAndSweep) {
+// The backend test again with the paper's store list.
+class GcLatencyListBackendTest : public GcLatencyBackendTest {
+ protected:
+  GcLatencyListBackendTest() { remset_ = RemsetMode::kList; }
+};
+
+void GcLatencyBackendTest::los_alloc_survival_and_sweep() {
   HeapConfig heap;
   heap.with_nursery_bytes(128 * 1024).with_old_bytes(2u << 20);
   auto p = make(GetParam() == Backend::kUni ? 1 : 2, heap);
@@ -328,7 +389,18 @@ TEST_P(GcLatencyBackendTest, LosAllocSurvivalAndSweep) {
   });
 }
 
+TEST_P(GcLatencyBackendTest, LosAllocSurvivalAndSweep) {
+  los_alloc_survival_and_sweep();
+}
+TEST_P(GcLatencyListBackendTest, LosAllocSurvivalAndSweep) {
+  los_alloc_survival_and_sweep();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, GcLatencyBackendTest,
+                         ::testing::Values(Backend::kSim, Backend::kNative,
+                                           Backend::kUni),
+                         backend_name);
+INSTANTIATE_TEST_SUITE_P(AllBackends, GcLatencyListBackendTest,
                          ::testing::Values(Backend::kSim, Backend::kNative,
                                            Backend::kUni),
                          backend_name);
@@ -340,13 +412,15 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GcLatencyBackendTest,
 // per-proc dirty-card buffers, the global flush lock, the card-aligned
 // promotion blocks and the crossing-map writes all race for real here (CI
 // additionally runs this binary under TSan).
-TEST(GcLatencyParallel, PromotionAndCardBuffersRaceUnderNativeProcs) {
+void promotion_and_card_buffers_race(RemsetMode remset) {
   constexpr int kProcs = 4;
   constexpr std::size_t kSlotsPerProc = 64;  // 4*64 slots: old gen, not LOS
   constexpr int kOpsPerProc = 4000;
   mp::NativePlatformConfig cfg;
   cfg.max_procs = kProcs;
-  cfg.heap.with_nursery_bytes(256 * 1024).with_old_bytes(16u << 20);
+  cfg.heap.with_nursery_bytes(256 * 1024)
+      .with_old_bytes(16u << 20)
+      .with_remset(remset);
   mp::NativePlatform p(cfg);
 
   std::atomic<int> workers_done{0};
@@ -411,14 +485,19 @@ TEST(GcLatencyParallel, PromotionAndCardBuffersRaceUnderNativeProcs) {
   EXPECT_EQ(workers_done.load(), kProcs);
   EXPECT_GT(op_sum, 0u);
 }
+TEST(GcLatencyParallel, PromotionAndCardBuffersRaceUnderNativeProcs) {
+  promotion_and_card_buffers_race(kDefaultRemset);
+}
 
 // ---------- simulator determinism with the new cost knobs ----------
 
-TEST(GcLatencySim, TracesAreBitReproducibleWithCardAndLosCosts) {
-  auto run_once = [] {
+void traces_are_bit_reproducible(RemsetMode remset) {
+  auto run_once = [remset] {
     mp::SimPlatformConfig cfg;
     cfg.machine = mp::sim::sequent_s81(3);
-    cfg.heap.with_nursery_bytes(128 * 1024).with_old_bytes(2u << 20);
+    cfg.heap.with_nursery_bytes(128 * 1024)
+        .with_old_bytes(2u << 20)
+        .with_remset(remset);
     mp::SimPlatform p(cfg);
     double end_us = 0;
     std::uint64_t checksum = 0;
@@ -457,6 +536,22 @@ TEST(GcLatencySim, TracesAreBitReproducibleWithCardAndLosCosts) {
       << "virtual time diverged: card/LOS cost charges are nondeterministic";
   EXPECT_EQ(a.second, b.second);
 }
+TEST(GcLatencySim, TracesAreBitReproducibleWithCardAndLosCosts) {
+  traces_are_bit_reproducible(kDefaultRemset);
+}
+
+// The two platform tests above, again with the remset the parameter names.
+class GcLatencyPlatformTest : public ::testing::TestWithParam<RemsetMode> {};
+
+TEST_P(GcLatencyPlatformTest, PromotionAndCardBuffersRaceUnderNativeProcs) {
+  promotion_and_card_buffers_race(GetParam());
+}
+TEST_P(GcLatencyPlatformTest, TracesAreBitReproducibleWithCardAndLosCosts) {
+  traces_are_bit_reproducible(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(StoreList, GcLatencyPlatformTest,
+                         ::testing::Values(RemsetMode::kList));
 
 // ---------- configuration death checks ----------
 

@@ -1,6 +1,7 @@
 // Unit tests for the ML-style heap: tagged values, per-proc allocation,
 // rooting discipline, minor/major copying collection, store-list barrier,
-// and continuation-slot tracing.
+// and continuation-slot tracing.  The tests that collect run on both the
+// parallel copier and the paper's sequential collector.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +64,8 @@ class GcTest : public ::testing::Test {
                   std::size_t old_bytes = 1 << 20) {
     const HeapConfig cfg = HeapConfig{}
                                .with_nursery_bytes(nursery_bytes)
-                               .with_old_bytes(old_bytes);
+                               .with_old_bytes(old_bytes)
+                               .with_parallel_gc(parallel_gc_);
     heap_ = std::make_unique<Heap>(cfg, hooks_, hooks_);
     return *heap_;
   }
@@ -78,11 +80,43 @@ class GcTest : public ::testing::Test {
     mp::cont::run_from_idle(mp::cont::make_entry(std::move(f)), exec_);
   }
 
+  // The bodies of the tests that collect: GcTest runs each on the default
+  // collector, GcCollectorTest on the collector its parameter names.
+  void rooted_value_survives_collection();
+  void unrooted_garbage_is_not_copied();
+  void reachable_graph_is_copied_once();
+  void cyclic_structure_via_ref();
+  void automatic_minor_collection_on_nursery_exhaustion();
+  void store_list_catches_old_to_young_pointer();
+  void major_collection_compacts_old_space();
+  void nested_root_frames_and_shadowing();
+  void global_root_survives_and_moves();
+  void global_root_move_preserves_registration();
+  void continuation_slot_is_traced();
+  void suspended_thread_root_chain_is_traced();
+  void large_array_goes_to_large_object_space();
+  void chunk_grab_stats_accumulate();
+  void verify_passes_on_a_healthy_heap();
+  void verify_detects_a_corrupted_header();
+
+  // The collector make_heap configures.
+  bool parallel_gc_ = HeapConfig{}.parallel_gc;
   mp::cont::ExecContext exec_;
   mp::arch::Context idle_ctx_;
   TestHooks hooks_;
   std::unique_ptr<Heap> heap_;
 };
+
+// The collecting tests again, with HeapConfig::parallel_gc set to the
+// parameter; instantiated with the paper's sequential collector, the one
+// non-default value.
+class GcCollectorTest : public GcTest,
+                        public ::testing::WithParamInterface<bool> {
+ protected:
+  GcCollectorTest() { parallel_gc_ = GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Sequential, GcCollectorTest, ::testing::Values(false));
 
 // ---------- tagged values ----------
 
@@ -186,7 +220,7 @@ TEST_F(GcTest, AllocChargesHooks) {
 
 // ---------- collection ----------
 
-TEST_F(GcTest, RootedValueSurvivesCollection) {
+void GcTest::rooted_value_survives_collection() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<1> r;
@@ -199,8 +233,14 @@ TEST_F(GcTest, RootedValueSurvivesCollection) {
     EXPECT_EQ(r[0].field(1).as_int(), 22);
   });
 }
+TEST_F(GcTest, RootedValueSurvivesCollection) {
+  rooted_value_survives_collection();
+}
+TEST_P(GcCollectorTest, RootedValueSurvivesCollection) {
+  rooted_value_survives_collection();
+}
 
-TEST_F(GcTest, UnrootedGarbageIsNotCopied) {
+void GcTest::unrooted_garbage_is_not_copied() {
   Heap& h = make_heap();
   on_proc([&] {
     for (int i = 0; i < 100; i++) {
@@ -210,8 +250,12 @@ TEST_F(GcTest, UnrootedGarbageIsNotCopied) {
     EXPECT_EQ(h.old_space_used_words(), 0u);
   });
 }
+TEST_F(GcTest, UnrootedGarbageIsNotCopied) { unrooted_garbage_is_not_copied(); }
+TEST_P(GcCollectorTest, UnrootedGarbageIsNotCopied) {
+  unrooted_garbage_is_not_copied();
+}
 
-TEST_F(GcTest, ReachableGraphIsCopiedOnce) {
+void GcTest::reachable_graph_is_copied_once() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<2> r;
@@ -224,8 +268,12 @@ TEST_F(GcTest, ReachableGraphIsCopiedOnce) {
     EXPECT_EQ(r[1].field(0).field(0).as_int(), 1);
   });
 }
+TEST_F(GcTest, ReachableGraphIsCopiedOnce) { reachable_graph_is_copied_once(); }
+TEST_P(GcCollectorTest, ReachableGraphIsCopiedOnce) {
+  reachable_graph_is_copied_once();
+}
 
-TEST_F(GcTest, CyclicStructureViaRef) {
+void GcTest::cyclic_structure_via_ref() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<2> r;
@@ -238,8 +286,10 @@ TEST_F(GcTest, CyclicStructureViaRef) {
     EXPECT_EQ(rec.field(1).raw_bits(), r[0].raw_bits());
   });
 }
+TEST_F(GcTest, CyclicStructureViaRef) { cyclic_structure_via_ref(); }
+TEST_P(GcCollectorTest, CyclicStructureViaRef) { cyclic_structure_via_ref(); }
 
-TEST_F(GcTest, AutomaticMinorCollectionOnNurseryExhaustion) {
+void GcTest::automatic_minor_collection_on_nursery_exhaustion() {
   Heap& h = make_heap(/*nursery_bytes=*/32 * 1024);
   on_proc([&] {
     Roots<1> r;
@@ -250,8 +300,14 @@ TEST_F(GcTest, AutomaticMinorCollectionOnNurseryExhaustion) {
     EXPECT_EQ(r[0].field(0).as_int(), 123);
   });
 }
+TEST_F(GcTest, AutomaticMinorCollectionOnNurseryExhaustion) {
+  automatic_minor_collection_on_nursery_exhaustion();
+}
+TEST_P(GcCollectorTest, AutomaticMinorCollectionOnNurseryExhaustion) {
+  automatic_minor_collection_on_nursery_exhaustion();
+}
 
-TEST_F(GcTest, StoreListCatchesOldToYoungPointer) {
+void GcTest::store_list_catches_old_to_young_pointer() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<2> r;
@@ -270,8 +326,14 @@ TEST_F(GcTest, StoreListCatchesOldToYoungPointer) {
     EXPECT_EQ(promoted.field(0).as_int(), 77);
   });
 }
+TEST_F(GcTest, StoreListCatchesOldToYoungPointer) {
+  store_list_catches_old_to_young_pointer();
+}
+TEST_P(GcCollectorTest, StoreListCatchesOldToYoungPointer) {
+  store_list_catches_old_to_young_pointer();
+}
 
-TEST_F(GcTest, MajorCollectionCompactsOldSpace) {
+void GcTest::major_collection_compacts_old_space() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<1> r;
@@ -292,8 +354,14 @@ TEST_F(GcTest, MajorCollectionCompactsOldSpace) {
     EXPECT_GT(h.stats().major_gcs, 0u);
   });
 }
+TEST_F(GcTest, MajorCollectionCompactsOldSpace) {
+  major_collection_compacts_old_space();
+}
+TEST_P(GcCollectorTest, MajorCollectionCompactsOldSpace) {
+  major_collection_compacts_old_space();
+}
 
-TEST_F(GcTest, NestedRootFramesAndShadowing) {
+void GcTest::nested_root_frames_and_shadowing() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<1> outer;
@@ -310,8 +378,14 @@ TEST_F(GcTest, NestedRootFramesAndShadowing) {
     EXPECT_EQ(outer[0].field(0).as_int(), 1);
   });
 }
+TEST_F(GcTest, NestedRootFramesAndShadowing) {
+  nested_root_frames_and_shadowing();
+}
+TEST_P(GcCollectorTest, NestedRootFramesAndShadowing) {
+  nested_root_frames_and_shadowing();
+}
 
-TEST_F(GcTest, GlobalRootSurvivesAndMoves) {
+void GcTest::global_root_survives_and_moves() {
   Heap& h = make_heap();
   on_proc([&] {
     GlobalRoot g(h, h.alloc_record({Value::from_int(31)}));
@@ -320,8 +394,12 @@ TEST_F(GcTest, GlobalRootSurvivesAndMoves) {
     EXPECT_TRUE(h.in_old_space(g.get()));
   });
 }
+TEST_F(GcTest, GlobalRootSurvivesAndMoves) { global_root_survives_and_moves(); }
+TEST_P(GcCollectorTest, GlobalRootSurvivesAndMoves) {
+  global_root_survives_and_moves();
+}
 
-TEST_F(GcTest, GlobalRootMovePreservesRegistration) {
+void GcTest::global_root_move_preserves_registration() {
   Heap& h = make_heap();
   on_proc([&] {
     std::vector<GlobalRoot> roots;
@@ -336,8 +414,14 @@ TEST_F(GcTest, GlobalRootMovePreservesRegistration) {
     }
   });
 }
+TEST_F(GcTest, GlobalRootMovePreservesRegistration) {
+  global_root_move_preserves_registration();
+}
+TEST_P(GcCollectorTest, GlobalRootMovePreservesRegistration) {
+  global_root_move_preserves_registration();
+}
 
-TEST_F(GcTest, ContinuationSlotIsTraced) {
+void GcTest::continuation_slot_is_traced() {
   Heap& h = make_heap();
   mp::cont::Cont<Value> saved;
   Value got = Value::nil();
@@ -357,8 +441,12 @@ TEST_F(GcTest, ContinuationSlotIsTraced) {
   ASSERT_TRUE(got.is_ptr());
   EXPECT_EQ(got.field(0).as_int(), 55);
 }
+TEST_F(GcTest, ContinuationSlotIsTraced) { continuation_slot_is_traced(); }
+TEST_P(GcCollectorTest, ContinuationSlotIsTraced) {
+  continuation_slot_is_traced();
+}
 
-TEST_F(GcTest, SuspendedThreadRootChainIsTraced) {
+void GcTest::suspended_thread_root_chain_is_traced() {
   Heap& h = make_heap();
   mp::cont::Cont<mp::cont::Unit> saved;
   std::int64_t observed = 0;
@@ -379,8 +467,14 @@ TEST_F(GcTest, SuspendedThreadRootChainIsTraced) {
   mp::cont::run_from_idle(saved.ref(), exec_);
   EXPECT_EQ(observed, 642);
 }
+TEST_F(GcTest, SuspendedThreadRootChainIsTraced) {
+  suspended_thread_root_chain_is_traced();
+}
+TEST_P(GcCollectorTest, SuspendedThreadRootChainIsTraced) {
+  suspended_thread_root_chain_is_traced();
+}
 
-TEST_F(GcTest, LargeArrayGoesToLargeObjectSpace) {
+void GcTest::large_array_goes_to_large_object_space() {
   Heap& h = make_heap(/*nursery_bytes=*/32 * 1024);
   on_proc([&] {
     Roots<1> r;
@@ -400,8 +494,14 @@ TEST_F(GcTest, LargeArrayGoesToLargeObjectSpace) {
     EXPECT_TRUE(h.in_los(r[0]));
   });
 }
+TEST_F(GcTest, LargeArrayGoesToLargeObjectSpace) {
+  large_array_goes_to_large_object_space();
+}
+TEST_P(GcCollectorTest, LargeArrayGoesToLargeObjectSpace) {
+  large_array_goes_to_large_object_space();
+}
 
-TEST_F(GcTest, ChunkGrabStatsAccumulate) {
+void GcTest::chunk_grab_stats_accumulate() {
   Heap& h = make_heap(/*nursery_bytes=*/64 * 1024);
   on_proc([&] {
     for (int i = 0; i < 5000; i++) h.alloc_record({Value::from_int(i)});
@@ -411,8 +511,12 @@ TEST_F(GcTest, ChunkGrabStatsAccumulate) {
     EXPECT_EQ(s.allocations, 5000u);
   });
 }
+TEST_F(GcTest, ChunkGrabStatsAccumulate) { chunk_grab_stats_accumulate(); }
+TEST_P(GcCollectorTest, ChunkGrabStatsAccumulate) {
+  chunk_grab_stats_accumulate();
+}
 
-TEST_F(GcTest, VerifyPassesOnAHealthyHeap) {
+void GcTest::verify_passes_on_a_healthy_heap() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<3> r;
@@ -427,8 +531,14 @@ TEST_F(GcTest, VerifyPassesOnAHealthyHeap) {
     EXPECT_TRUE(h.verify(&err)) << err;
   });
 }
+TEST_F(GcTest, VerifyPassesOnAHealthyHeap) {
+  verify_passes_on_a_healthy_heap();
+}
+TEST_P(GcCollectorTest, VerifyPassesOnAHealthyHeap) {
+  verify_passes_on_a_healthy_heap();
+}
 
-TEST_F(GcTest, VerifyDetectsACorruptedHeader) {
+void GcTest::verify_detects_a_corrupted_header() {
   Heap& h = make_heap();
   on_proc([&] {
     Roots<1> r;
@@ -444,6 +554,12 @@ TEST_F(GcTest, VerifyDetectsACorruptedHeader) {
     words[0] = saved;  // restore so teardown stays sane
     EXPECT_TRUE(h.verify(&err)) << err;
   });
+}
+TEST_F(GcTest, VerifyDetectsACorruptedHeader) {
+  verify_detects_a_corrupted_header();
+}
+TEST_P(GcCollectorTest, VerifyDetectsACorruptedHeader) {
+  verify_detects_a_corrupted_header();
 }
 
 // ---------- configuration ----------

@@ -1,14 +1,17 @@
 // Tests for the src/io subsystem: the EINTR/errno syscall discipline, the
 // virtual-pipe and TCP streams, the reactor's proc-parking protocol (a proc
 // never blocks in the kernel while runnable threads exist), CML select over
-// channel + timer + stream readiness, GC while parked, and the net_echo
-// workload acceptance runs.
+// channel + timer + stream readiness, pruning of the dead offers losing
+// selects leave behind, GC while parked, and the net_echo workload
+// acceptance runs.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -341,11 +344,13 @@ TEST(Reactor, LargeTransferBothDirections) {
 
 // GC cooperation: a stop-the-world must complete while a thread is parked
 // against a silent socket (the reactor's bounded wait + wake hook keep the
-// sleeping proc reaching its safe point).
-TEST(Reactor, GcCompletesWhileThreadParkedOnSocket) {
+// sleeping proc reaching its safe point).  Run with the parallel copier (the
+// default) and the sequential collector.
+void gc_while_parked_run(bool parallel_gc) {
   mp::NativePlatformConfig cfg;
   cfg.max_procs = 2;
   cfg.heap.nursery_bytes = 64 * 1024;  // force frequent minor collections
+  cfg.heap.parallel_gc = parallel_gc;
   mp::NativePlatform plat(cfg);
   run_threads(plat, [&](Scheduler& sched) {
     Reactor reactor(sched);
@@ -382,6 +387,14 @@ TEST(Reactor, GcCompletesWhileThreadParkedOnSocket) {
   });
 }
 
+TEST(Reactor, GcCompletesWhileThreadParkedOnSocket) {
+  gc_while_parked_run(mp::gc::HeapConfig{}.parallel_gc);
+}
+
+TEST(Reactor, SequentialGcCompletesWhileThreadParkedOnSocket) {
+  gc_while_parked_run(false);
+}
+
 // Heavier variant of the test above, and the CI gc-stress workload: four
 // procs, several threads parked against silent sockets, several threads
 // allocating linked structures, with forced major collections mixed into the
@@ -393,7 +406,7 @@ void gc_stress_run(bool parallel_gc) {
   cfg.max_procs = 4;
   cfg.heap.nursery_bytes = 64 * 1024;  // force frequent minor collections
   cfg.heap.old_bytes = 2u << 20;
-  cfg.heap.parallel_gc = parallel_gc;  // explicit: ignore MPNJ_GC_PARALLEL
+  cfg.heap.parallel_gc = parallel_gc;
   mp::NativePlatform plat(cfg);
   run_threads(plat, [&](Scheduler& sched) {
     Reactor reactor(sched);
@@ -591,6 +604,75 @@ TEST(IoSelect, DeterministicOnSim) {
                       plat.report().total_us};
   };
   EXPECT_EQ(tally(), tally());
+}
+
+// ---------- dead offers ----------
+
+// A select that loses to another branch leaves its offer parked on the
+// silent source; the offer's sync has committed, so it is dead, but it holds
+// the sync's continuation core.  The source's next registration drops it,
+// so a run of losing selects leaves no more than the last one's offer.
+constexpr int kLosingSelects = 2000;
+constexpr std::ptrdiff_t kCoreSlack = 4;
+
+// Syncs kLosingSelects selects of `silent` against an always-ready event,
+// which always wins (a select that polls `silent` first parks an offer
+// there that the win leaves dead), and returns how many continuation cores
+// they left alive.
+std::ptrdiff_t cores_left_by_losing_selects(
+    Scheduler& sched, const std::function<Event<Unit>()>& silent) {
+  const auto before =
+      static_cast<std::ptrdiff_t>(mp::cont::live_core_count());
+  for (int i = 0; i < kLosingSelects; i++) {
+    Event<Unit>::choose({Event<Unit>::always(Unit{}), silent()}).sync(sched);
+  }
+  return static_cast<std::ptrdiff_t>(mp::cont::live_core_count()) - before;
+}
+
+TEST(DeadOffers, LosingSelectsOnASilentPipeLeaveNoCores) {
+  auto p = make_platform(Backend::kNative, 1);
+  run_threads(*p, [](Scheduler& sched) {
+    auto [rd, wr] = Stream::pipe(sched);
+    EXPECT_LE(cores_left_by_losing_selects(
+                  sched, [&] { return mp::io::readable_event(rd); }),
+              kCoreSlack);
+    wr.close();
+    rd.close();
+  });
+}
+
+TEST(DeadOffers, LosingSelectsOnASilentSocketLeaveNoCores) {
+  auto p = make_platform(Backend::kNative, 1);
+  run_threads(*p, [](Scheduler& sched) {
+    Reactor reactor(sched);
+    Listener lis = Listener::tcp(reactor);
+    Stream server;
+    CountdownLatch accepted(sched, 1);
+    sched.fork([&] {
+      server = lis.accept();
+      accepted.count_down();
+    });
+    Stream client = Stream::connect_tcp(reactor, lis.port());
+    accepted.await();
+    EXPECT_LE(cores_left_by_losing_selects(
+                  sched, [&] { return mp::io::readable_event(client); }),
+              kCoreSlack);
+    client.close();
+    server.close();
+    lis.close();
+  });
+}
+
+TEST(DeadOffers, LosingSelectsOnANeverSentChannelLeaveNoCores) {
+  auto p = make_platform(Backend::kNative, 1);
+  run_threads(*p, [](Scheduler& sched) {
+    Channel<std::uint64_t> never(sched);
+    const auto silent = [&] {
+      return never.recv_event().wrap<Unit>(
+          [](std::uint64_t) { return Unit{}; });
+    };
+    EXPECT_LE(cores_left_by_losing_selects(sched, silent), kCoreSlack);
+  });
 }
 
 // ---------- net_echo workload ----------

@@ -207,18 +207,6 @@ TEST_F(StackTest, CommittedBytesTrackLiveSlotsAndTrimReleasesThem) {
                          SegmentPool::instance().config().small_stack_bytes));
 }
 
-TEST_F(StackTest, PoolingOffFallsBackToPrivateMappings) {
-  SegmentPool::instance().configure(StackConfig{}.with_pooling(false));
-  ManualProc proc;
-  int got = 0;
-  proc.run([&] {
-    got = callcc<int>([](Cont<int> k) -> int {
-      throw_to(std::move(k), 11);
-    });
-  });
-  EXPECT_EQ(got, 11);
-}
-
 TEST_F(StackTest, SpawnOptsThreadNamesAndSmallStacksRunEverywhere) {
   // Functional check on all three backends: a small-stack named thread runs
   // and joins.  (The fault-report content is covered by the death tests.)

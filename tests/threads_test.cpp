@@ -17,13 +17,11 @@
 namespace {
 
 using mp::threads::Barrier;
-using mp::threads::CentralFifoQueue;
-using mp::threads::CentralLifoQueue;
+using mp::threads::CentralQueue;
 using mp::threads::CondVar;
 using mp::threads::CountdownLatch;
 using mp::threads::DistributedQueue;
 using mp::threads::Mutex;
-using mp::threads::RandomQueue;
 using mp::threads::RWLock;
 using mp::threads::Scheduler;
 using mp::threads::SchedulerConfig;
@@ -111,7 +109,7 @@ TEST_P(ThreadsTest, YieldInterleavesThreadsOnOneProc) {
   auto p = make(1);
   std::vector<int> trace;
   SchedulerConfig cfg;
-  cfg.queue = std::make_unique<CentralFifoQueue>();
+  cfg.queue = std::make_unique<CentralQueue>();
   run(*p,
       [&](Scheduler& s) {
         CountdownLatch latch(s, 2);
@@ -190,9 +188,16 @@ TEST_P(ThreadsTest, AllQueueDisciplinesComplete) {
     std::atomic<int> completed{0};
     SchedulerConfig cfg;
     switch (which) {
-      case 0: cfg.queue = std::make_unique<CentralFifoQueue>(); break;
-      case 1: cfg.queue = std::make_unique<CentralLifoQueue>(); break;
-      case 2: cfg.queue = std::make_unique<RandomQueue>(); break;
+      case 0:
+        cfg.queue = std::make_unique<CentralQueue>(CentralQueue::Order::kFifo);
+        break;
+      case 1:
+        cfg.queue = std::make_unique<CentralQueue>(CentralQueue::Order::kLifo);
+        break;
+      case 2:
+        cfg.queue =
+            std::make_unique<CentralQueue>(CentralQueue::Order::kRandom);
+        break;
       case 3: cfg.queue = std::make_unique<DistributedQueue>(); break;
     }
     run(*p,

@@ -97,7 +97,7 @@ TEST(UniPlatform, SchedulerDegeneratesToCooperativeThreads) {
   UniPlatform p;
   std::vector<int> trace;
   SchedulerConfig cfg;
-  cfg.queue = std::make_unique<mp::threads::CentralFifoQueue>();
+  cfg.queue = std::make_unique<mp::threads::CentralQueue>();
   Scheduler::run(p, std::move(cfg), [&](Scheduler& s) {
     CountdownLatch latch(s, 2);
     for (int id = 1; id <= 2; id++) {

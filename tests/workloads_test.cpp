@@ -164,7 +164,8 @@ TEST(Runner, FreeGcAblationSpeedsUpGcBoundWorkload) {
 }
 
 TEST(Runner, QueueDisciplinesAllVerify) {
-  for (const char* q : {"distributed", "fifo", "lifo", "random"}) {
+  for (const char* q :
+       {"distributed", "central-fifo", "central-lifo", "central-random"}) {
     SimRunSpec spec;
     spec.workload = "abisort";
     spec.machine = mp::sim::sequent_s81(4);
