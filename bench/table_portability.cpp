@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
       {"client: thread package + sync",
        {src + "threads/scheduler.cpp", src + "threads/scheduler.h",
         src + "threads/queue.cpp", src + "threads/queue.h",
-        src + "threads/qlock.h", src + "threads/sync.cpp",
-        src + "threads/sync.h"}},
+        src + "threads/qlock.h", src + "threads/offer.h",
+        src + "threads/sync.cpp", src + "threads/sync.h"}},
       {"client: selective communication / CML",
        {src + "cml/cml.h", src + "cml/sync_cells.h", src + "cml/mailbox.h"}},
   };

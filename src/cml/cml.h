@@ -1,7 +1,5 @@
 #pragma once
 
-#include <algorithm>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -9,6 +7,7 @@
 
 #include "gc/roots.h"
 #include "metrics/metrics.h"
+#include "threads/offer.h"
 #include "threads/scheduler.h"
 #include "threads/sync.h"
 
@@ -24,75 +23,33 @@
 // receive can pop a sender and then discover itself already committed,
 // losing the popped sender.  We therefore use the three-state synchronizer
 // from Reppy's CML implementation — WAITING / CLAIMED (transient, owned by
-// the actively polling thread) / SYNCHED — which lets an active thread
-// *retract* a tentative claim when its candidate partner turns out to be
-// dead, instead of dropping the candidate.  DESIGN.md records this as a
-// deliberate fix of the simplified Figure 5 protocol.
+// the actively polling thread) / SYNCHED, threads::SyncCell — which lets an
+// active thread *retract* a tentative claim when its candidate partner
+// turns out to be dead, instead of dropping the candidate.  DESIGN.md
+// records this as a deliberate fix of the simplified Figure 5 protocol.
+//
+// Each base a sync cannot commit at once parks one threads::Offer (the
+// paper's sndr / rcvr record) on its source: a channel's sender or
+// receiver list, a stream's readiness list (src/io), or the scheduler's
+// timer heap.  Whichever source commits first resumes the sync through the
+// one commit rule in threads/offer.h; the other offers are then dead and
+// their sources prune them.
 
 namespace mp::cml {
 
 namespace detail {
 
-enum class SyncSt : std::uint8_t { kWaiting, kClaimed, kSynched };
-
-// Shared synchronization point of one `sync` call: each base event offered
-// to a channel queue references this; exactly one base commits.
-struct EventState {
-  std::atomic<SyncSt> st{SyncSt::kWaiting};
-  int fired_base = -1;
-  // Set by the offering pass after its last touch of the sync frame.  A
-  // partner may commit a parked offer and resume the sync on another proc
-  // while the offering pass is still scanning the remaining bases; the
-  // resumed side must not return (destroying the event and the frame under
-  // the scanner) until the offerer signs off.
-  std::atomic<bool> offers_done{false};
-
-  bool synched() const {
-    return st.load(std::memory_order_acquire) == SyncSt::kSynched;
-  }
-  // Owner side: tentatively claim while examining a candidate partner.
-  bool try_claim() {
-    SyncSt expected = SyncSt::kWaiting;
-    return st.compare_exchange_strong(expected, SyncSt::kClaimed,
-                                      std::memory_order_acq_rel);
-  }
-  void retract() { st.store(SyncSt::kWaiting, std::memory_order_release); }
-  void commit_self(int base) {
-    fired_base = base;
-    st.store(SyncSt::kSynched, std::memory_order_release);
-  }
-  // Partner side: commit a queued waiter.  Spins through the transient
-  // CLAIMED state (charging time so the claimant can run in the simulator).
-  bool try_commit_partner(int base, Platform& p) {
-    for (;;) {
-      SyncSt expected = SyncSt::kWaiting;
-      if (st.compare_exchange_strong(expected, SyncSt::kSynched,
-                                     std::memory_order_acq_rel)) {
-        fired_base = base;
-        return true;
-      }
-      if (expected == SyncSt::kSynched) return false;  // already elsewhere
-      p.work(5);  // CLAIMED: transient; let the claimant resolve it
-    }
-  }
-};
-
-// A parked offer on a channel queue (the paper's sndr / rcvr records).
-struct Waiter {
-  std::shared_ptr<EventState> state;
-  cont::ContRef k;  // resumed with the raw payload (senders: unit)
-  int thread_id = 0;
-  int base_index = 0;
-  bool gc_payload = false;
-  std::uint64_t raw = 0;     // senders: the value being sent (non-GC case)
-  gc::GlobalRoot root;       // senders: the value being sent (GC case)
-
-  std::uint64_t payload() const {
-    return gc_payload ? root.get().raw_bits() : raw;
-  }
-};
-
 enum class Outcome { kCommitted, kBlocked, kDead };
+
+// Commits `me`'s sync through its own base at once, yielding `v` (a base
+// that is ready when polled); kDead if the sync already committed.
+inline Outcome commit_now(const threads::Offer& me, std::uint64_t v,
+                          std::uint64_t* out) {
+  if (!me.cell->try_claim()) return Outcome::kDead;
+  me.cell->commit_self(me.base);
+  *out = v;
+  return Outcome::kCommitted;
+}
 
 }  // namespace detail
 
@@ -112,15 +69,9 @@ class Event {
     Event e;
     Base b;
     const std::uint64_t raw = cont::detail::encode_slot(v);
-    b.attempt = [raw](threads::Scheduler&,
-                      const std::shared_ptr<detail::EventState>& own, int idx,
-                      int, const cont::ContRef&,
-                      std::uint64_t* out) -> detail::Outcome {
-      if (own->synched()) return detail::Outcome::kDead;
-      if (!own->try_claim()) return detail::Outcome::kDead;
-      own->commit_self(idx);
-      *out = raw;
-      return detail::Outcome::kCommitted;
+    b.attempt = [raw](threads::Scheduler&, const threads::Offer& me,
+                      std::uint64_t* out) {
+      return detail::commit_now(me, raw, out);
     };
     b.convert = [](std::uint64_t bits) {
       return cont::detail::decode_slot<T>(bits);
@@ -148,24 +99,11 @@ class Event {
     Event e;
     Base b;
     (void)sched;  // the event is synced on the same scheduler
-    b.attempt = [us](threads::Scheduler& s,
-                     const std::shared_ptr<detail::EventState>& own, int idx,
-                     int tid, const cont::ContRef& k,
-                     std::uint64_t* out) -> detail::Outcome {
-      Platform& p = s.platform();
-      if (us <= 0) {
-        if (own->synched() || !own->try_claim()) return detail::Outcome::kDead;
-        own->commit_self(idx);
-        *out = 0;
-        return detail::Outcome::kCommitted;
-      }
+    b.attempt = [us](threads::Scheduler& s, const threads::Offer& me,
+                     std::uint64_t* out) {
+      if (us <= 0) return detail::commit_now(me, 0, out);
       // Park an offer; the timer commits it when the deadline passes.
-      s.at(p.now_us() + us, [own, k, idx, tid, &s] {
-        if (own->try_commit_partner(idx, s.platform())) {
-          k.get()->preload(0, false);
-          s.reschedule(threads::ThreadState{k, tid});
-        }
-      });
+      s.at(s.platform().now_us() + us, me);
       return detail::Outcome::kBlocked;
     };
     b.convert = [](std::uint64_t) { return T{}; };
@@ -175,14 +113,13 @@ class Event {
 
   // Extension point for external event sources (the src/io reactor): build
   // an event from one raw base.  `attempt` follows the contract of the
-  // channel attempts above — poll once under your own locks, then commit
-  // against `own` (commit_self for the immediate case), park an offer whose
-  // eventual committer uses try_commit_partner + preload + reschedule, or
-  // report kDead; it must release any lock it takes before returning.
-  // `convert` maps the committed raw payload to the event's result.
+  // channel attempts below: poll once under your own locks, then commit
+  // `me`'s sync at once (detail::commit_now), park a copy of `me` that the
+  // source later commits by the offer rule (Offer::fire), or report kDead;
+  // it must release any lock it takes before returning.  `convert` maps the
+  // committed raw payload to the event's result.
   using AttemptFn = std::function<detail::Outcome(
-      threads::Scheduler&, const std::shared_ptr<detail::EventState>&, int,
-      int, const cont::ContRef&, std::uint64_t*)>;
+      threads::Scheduler&, const threads::Offer&, std::uint64_t*)>;
   static Event primitive(AttemptFn attempt,
                          std::function<T(std::uint64_t)> convert) {
     Event e;
@@ -216,7 +153,7 @@ class Event {
     MPNJ_CHECK(!bases_.empty(), "sync of an empty event");
     Platform& p = sched.platform();
     p.work(20);
-    auto own = std::make_shared<detail::EventState>();
+    auto own = std::make_shared<threads::SyncCell>();
     int immediate_base = -1;
 
     // Preemption stays masked for the whole offer/commit sequence: a timer
@@ -226,10 +163,15 @@ class Event {
     const std::uint64_t raw = cont::callcc<std::uint64_t>(
         [&](cont::Cont<std::uint64_t> k) -> std::uint64_t {
           std::uint64_t out = 0;
-          immediate_base = offer(sched, own, std::move(k).take_ref(), &out);
+          const int base = offer(sched, own, std::move(k).take_ref(), &out);
           // No safe point between a commit and the implicit throw: `out`
-          // may be an unrooted heap value.
-          if (immediate_base >= 0) return out;
+          // may be an unrooted heap value.  Only this path writes
+          // immediate_base: a partner may already be resuming us on
+          // another proc, where the check below reads it.
+          if (base >= 0) {
+            immediate_base = base;
+            return out;
+          }
           // Every base parked an offer, or a partner committed one of them
           // while we were scanning (our continuation is, or will be, on the
           // ready queue with the payload preloaded): give up the proc.
@@ -258,13 +200,10 @@ class Event {
   friend class Channel;
 
   struct Base {
-    // Polls the base once: commits against a waiting partner, parks an
-    // offer, or reports that this sync is already dead.  Releases any
-    // channel lock before returning.
-    std::function<detail::Outcome(
-        threads::Scheduler&, const std::shared_ptr<detail::EventState>&, int,
-        int, const cont::ContRef&, std::uint64_t*)>
-        attempt;
+    // Polls the base once with `me`, the offer it would park: commits
+    // against a waiting partner, parks a copy of `me`, or reports that this
+    // sync is already dead.  Releases any source lock before returning.
+    AttemptFn attempt;
     std::function<T(std::uint64_t)> convert;
   };
 
@@ -274,19 +213,19 @@ class Event {
   // sync dead.  The polling order and `k` die with this frame, before sync's
   // body dispatches.
   int offer(threads::Scheduler& sched,
-            const std::shared_ptr<detail::EventState>& own, cont::ContRef k,
+            const std::shared_ptr<threads::SyncCell>& own, cont::ContRef k,
             std::uint64_t* out) {
     Platform& p = sched.platform();
-    const int tid = sched.id();
+    threads::Offer me{.cell = own, .k = std::move(k), .tid = sched.id()};
     std::vector<std::size_t> order(bases_.size());
     for (std::size_t i = 0; i < order.size(); i++) order[i] = i;
     for (std::size_t i = order.size(); i > 1; i--) {
       std::swap(order[i - 1], order[p.rng().below(i)]);
     }
     for (const std::size_t i : order) {
-      const auto oc =
-          bases_[i].attempt(sched, own, static_cast<int>(i), tid, k, out);
-      if (oc == detail::Outcome::kCommitted) return static_cast<int>(i);
+      me.base = static_cast<int>(i);
+      const auto oc = bases_[i].attempt(sched, me, out);
+      if (oc == detail::Outcome::kCommitted) return me.base;
       if (oc == detail::Outcome::kDead) return -1;
     }
     return -1;
@@ -319,15 +258,13 @@ class Channel {
       rooted = std::make_shared<gc::GlobalRoot>(
           sched_.platform().heap(), gc::Value::from_raw_bits(raw));
     }
-    b.attempt = [this, raw, rooted](
-                    threads::Scheduler& sched,
-                    const std::shared_ptr<detail::EventState>& own, int idx,
-                    int tid, const cont::ContRef& k,
-                    std::uint64_t* out) -> detail::Outcome {
-      const std::uint64_t payload =
-          rooted != nullptr ? rooted->get().raw_bits() : raw;
-      return attempt_send(sched, own, idx, tid, k, payload,
-                          rooted != nullptr, out);
+    b.attempt = [this, raw, rooted](threads::Scheduler& sched,
+                                    const threads::Offer& me,
+                                    std::uint64_t* out) {
+      threads::Offer mine = me;
+      mine.raw = raw;
+      mine.root = rooted;  // a parked send shares the event's root
+      return attempt(sched, std::move(mine), sndrs_, rcvrs_, out);
     };
     b.convert = [](std::uint64_t) { return cont::Unit{}; };
     e.bases_.push_back(std::move(b));
@@ -338,11 +275,9 @@ class Channel {
   Event<T> recv_event() {
     Event<T> e;
     typename Event<T>::Base b;
-    b.attempt = [this](threads::Scheduler& sched,
-                       const std::shared_ptr<detail::EventState>& own, int idx,
-                       int tid, const cont::ContRef& k,
-                       std::uint64_t* out) -> detail::Outcome {
-      return attempt_recv(sched, own, idx, tid, k, out);
+    b.attempt = [this](threads::Scheduler& sched, const threads::Offer& me,
+                       std::uint64_t* out) {
+      return attempt(sched, me, rcvrs_, sndrs_, out);
     };
     b.convert = [](std::uint64_t bits) {
       return cont::detail::decode_slot<T>(bits);
@@ -354,137 +289,74 @@ class Channel {
   threads::Scheduler& scheduler() { return sched_; }
 
  private:
-  template <typename>
-  friend class Event;
-
-  detail::Outcome attempt_recv(threads::Scheduler& sched,
-                               const std::shared_ptr<detail::EventState>& own,
-                               int idx, int tid, const cont::ContRef& k,
-                               std::uint64_t* out) {
+  // One side of the rendezvous: `mine` is this side's list (senders or
+  // receivers) and `theirs` the partner side's.  Commits `me` against the
+  // oldest live partner offer that is not its own sync's, parks `me` on
+  // `mine`, or reports its sync dead.  The sender's payload crosses to the
+  // receiver; the sender gets unit.
+  detail::Outcome attempt(threads::Scheduler& sched, threads::Offer me,
+                          threads::OfferList& mine, threads::OfferList& theirs,
+                          std::uint64_t* out) {
     Platform& p = sched.platform();
+    const bool sending = &mine == &sndrs_;
     p.lock(ch_lock_);
     for (;;) {
-      if (own->synched()) {
+      if (me.cell->synched()) {
         p.unlock(ch_lock_);
         return detail::Outcome::kDead;
       }
-      if (sndrs_.empty()) {
-        detail::Waiter w;
-        w.state = own;
-        w.k = k;
-        w.thread_id = tid;
-        w.base_index = idx;
-        w.gc_payload = false;
-        drop_dead(rcvrs_);
-        rcvrs_.push_back(std::move(w));
+      std::optional<threads::Offer> cand = theirs.take(me.cell.get());
+      if (!cand) {
+        mine.push(std::move(me));
         p.unlock(ch_lock_);
         MPNJ_METRIC_COUNT(kCmlOffersParked, 1);
         return detail::Outcome::kBlocked;
       }
-      detail::Waiter cand = std::move(sndrs_.front());
-      sndrs_.pop_front();
-      if (cand.state->synched()) {
-        MPNJ_METRIC_COUNT(kCmlSelectRetries, 1);
-        continue;  // dead offer: drop it
+      threads::SyncSt found;
+      for (;;) {
+        if (!me.cell->try_claim()) {
+          // We were committed through a parked offer on another source; put
+          // the candidate back (the fix to Figure 5's dropped sender).
+          theirs.put_back(std::move(*cand));
+          p.unlock(ch_lock_);
+          return detail::Outcome::kDead;
+        }
+        found = cand->cell->try_commit_partner(cand->base);
+        if (found != threads::SyncSt::kClaimed) break;
+        // Its owner is examining a candidate too, perhaps our offer on
+        // another channel: two selects crossing on two channels would wait
+        // on each other's claim forever.  Never wait holding ours.
+        me.cell->retract();
+        p.work(5);
       }
-      if (!own->try_claim()) {
-        // We were committed through a parked offer on another channel;
-        // put the candidate back (the fix to Figure 5's dropped sender).
-        sndrs_.push_front(std::move(cand));
-        p.unlock(ch_lock_);
-        return detail::Outcome::kDead;
-      }
-      if (!cand.state->try_commit_partner(cand.base_index, p)) {
-        own->retract();
+      if (found == threads::SyncSt::kSynched) {
+        me.cell->retract();
         MPNJ_METRIC_COUNT(kCmlSelectRetries, 1);
         continue;  // candidate died while we claimed; try the next one
       }
-      own->commit_self(idx);
-      MPNJ_METRIC_COUNT(kCmlRecvs, 1);
-      // Wake the sender with unit...
-      cand.k.get()->preload(0, false);
+      me.cell->commit_self(me.base);
       p.unlock(ch_lock_);
-      sched.reschedule(
-          threads::ThreadState{std::move(cand.k), cand.thread_id});
-      // ...and read the payload last: `cand.root` is still registered, so
-      // a collection at the reschedule's safe points kept it current.
-      *out = cand.payload();
+      if (sending) {
+        MPNJ_METRIC_COUNT(kCmlSends, 1);
+        // The paper's reschedule_thread: the receiver's 'a cont plus the
+        // value become a resumable thread (preload + enqueue here).
+        cand->resume(sched, me.payload(), me.traced());
+        *out = 0;
+      } else {
+        MPNJ_METRIC_COUNT(kCmlRecvs, 1);
+        cand->resume(sched);
+        // Read the payload last: the sender's root is still registered, so
+        // a collection at the reschedule's safe points kept it current.
+        *out = cand->payload();
+      }
       return detail::Outcome::kCommitted;
     }
-  }
-
-  detail::Outcome attempt_send(threads::Scheduler& sched,
-                               const std::shared_ptr<detail::EventState>& own,
-                               int idx, int tid, const cont::ContRef& k,
-                               std::uint64_t payload, bool gc_payload,
-                               std::uint64_t* out) {
-    Platform& p = sched.platform();
-    p.lock(ch_lock_);
-    for (;;) {
-      if (own->synched()) {
-        p.unlock(ch_lock_);
-        return detail::Outcome::kDead;
-      }
-      if (rcvrs_.empty()) {
-        detail::Waiter w;
-        w.state = own;
-        w.k = k;
-        w.thread_id = tid;
-        w.base_index = idx;
-        w.gc_payload = gc_payload;
-        w.raw = payload;
-        if (gc_payload) {
-          w.root = gc::GlobalRoot(p.heap(), gc::Value::from_raw_bits(payload));
-        }
-        drop_dead(sndrs_);
-        sndrs_.push_back(std::move(w));
-        p.unlock(ch_lock_);
-        MPNJ_METRIC_COUNT(kCmlOffersParked, 1);
-        return detail::Outcome::kBlocked;
-      }
-      detail::Waiter cand = std::move(rcvrs_.front());
-      rcvrs_.pop_front();
-      if (cand.state->synched()) {
-        MPNJ_METRIC_COUNT(kCmlSelectRetries, 1);
-        continue;
-      }
-      if (!own->try_claim()) {
-        rcvrs_.push_front(std::move(cand));
-        p.unlock(ch_lock_);
-        return detail::Outcome::kDead;
-      }
-      if (!cand.state->try_commit_partner(cand.base_index, p)) {
-        own->retract();
-        MPNJ_METRIC_COUNT(kCmlSelectRetries, 1);
-        continue;
-      }
-      own->commit_self(idx);
-      MPNJ_METRIC_COUNT(kCmlSends, 1);
-      // Deliver the value to the receiver and reschedule it (the paper's
-      // reschedule_thread: converting the 'a cont + value into a resumable
-      // thread is exactly preload + enqueue here).
-      cand.k.get()->preload(payload, gc_payload);
-      p.unlock(ch_lock_);
-      sched.reschedule(
-          threads::ThreadState{std::move(cand.k), cand.thread_id});
-      *out = 0;  // the sender's result is unit
-      return detail::Outcome::kCommitted;
-    }
-  }
-
-  // Drops the offers of `q` whose sync committed through another base, so a
-  // select that keeps losing here does not pin one continuation per loss
-  // until a partner scans past it.  Claimed offers stay: the claimant may
-  // retract.  Called under ch_lock_ before each push onto `q`.
-  static void drop_dead(std::deque<detail::Waiter>& q) {
-    std::erase_if(q,
-                  [](const detail::Waiter& w) { return w.state->synched(); });
   }
 
   threads::Scheduler& sched_;
   MutexLock ch_lock_;
-  std::deque<detail::Waiter> sndrs_;
-  std::deque<detail::Waiter> rcvrs_;
+  threads::OfferList sndrs_;
+  threads::OfferList rcvrs_;
 };
 
 // The paper's SELECT signature (Figure 4): receive a value from one of a

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "cml/cml.h"
 #include "io/stream.h"
 
@@ -19,32 +17,14 @@ namespace mp::io {
 inline cml::Event<cont::Unit> readable_event(Stream s) {
   auto impl = s.impl();
   return cml::Event<cont::Unit>::primitive(
-      [impl](threads::Scheduler& sched,
-             const std::shared_ptr<cml::detail::EventState>& own, int idx,
-             int tid, const cont::ContRef& k,
-             std::uint64_t* out) -> cml::detail::Outcome {
-        if (impl->poll_readable()) {
-          if (own->synched() || !own->try_claim()) {
-            return cml::detail::Outcome::kDead;
-          }
-          own->commit_self(idx);
-          *out = 0;
-          return cml::detail::Outcome::kCommitted;
-        }
-        // Park an offer: readiness commits it exactly like a channel
-        // partner or a timer would (Event::after's shape).  A stale fire —
-        // the sync already committed elsewhere — loses try_commit_partner
-        // and is a no-op.  Such an offer reports itself dead, so the
-        // source's next registration drops it; the raw state pointer stays
-        // valid because `own`, in the fire callback stored beside it, does.
-        impl->on_readable(
-            [impl, own, k, idx, tid, &sched] {
-              if (own->try_commit_partner(idx, sched.platform())) {
-                k.get()->preload(0, false);
-                sched.reschedule(threads::ThreadState{k, tid});
-              }
-            },
-            [st = own.get()] { return st->synched(); });
+      [impl](threads::Scheduler&, const threads::Offer& me,
+             std::uint64_t* out) {
+        if (impl->poll_readable()) return cml::detail::commit_now(me, 0, out);
+        // Park the offer: readiness commits it exactly like a channel
+        // partner or a timer would.  A fire after the sync committed
+        // elsewhere loses the commit and does nothing, and the stream's
+        // offer list prunes the dead offer.
+        impl->on_readable(me);
         return cml::detail::Outcome::kBlocked;
       },
       [](std::uint64_t) { return cont::Unit{}; });

@@ -92,25 +92,30 @@ Reactor::Reactor(threads::Scheduler& sched, ReactorConfig cfg)
 Reactor::~Reactor() {
   sched_.set_idle_waiter(nullptr);  // quiesces concurrent dispatch loops
   plat_.set_wake_hook(nullptr);
-  // Fire any still-parked waiters so no thread is stranded; their owners
+  // Fire any still-parked offers so no thread is stranded; their owners
   // re-poll and observe closed streams.
-  std::vector<std::function<void()>> fires;
+  std::vector<threads::Offer> fires;
   plat_.lock(lock_);
   for (auto& [fd, e] : fds_) {
-    for (auto& w : e.waiters) fires.push_back(std::move(w.fire));
+    e.readers.take_all(fires);
+    e.writers.take_all(fires);
   }
   fds_.clear();
   armed_fds_.store(0, std::memory_order_release);
   plat_.unlock(lock_);
-  for (auto& f : fires) f();
+  for (auto& o : fires) o.fire(sched_);
   if (epfd_ >= 0) ::close(epfd_);
 }
 
 // ----- registration -----
 
+unsigned Reactor::FdEntry::want() const {
+  return (readers.empty() ? 0u : kReadMask) |
+         (writers.empty() ? 0u : kWriteMask);
+}
+
 void Reactor::rearm(int fd, FdEntry& e) {
-  unsigned want = 0;
-  for (const Waiter& w : e.waiters) want |= w.mask;
+  const unsigned want = e.want();
   if (want == e.armed) return;
   const unsigned old = e.armed;
   e.armed = want;
@@ -132,7 +137,7 @@ void Reactor::rearm(int fd, FdEntry& e) {
         arch::retry_eintr([&] { return ::epoll_ctl(epfd_, op, fd, &ev); });
     if (rc < 0 && op == EPOLL_CTL_ADD && errno == EPERM) {
       // Not pollable (a regular file): report as permanently ready by
-      // leaving it unarmed; the caller fires waiters immediately.
+      // leaving it unarmed; the caller fires the offers immediately.
       e.armed = 0;
       armed_fds_.fetch_sub(1, std::memory_order_acq_rel);
       return;
@@ -148,25 +153,20 @@ void Reactor::rearm(int fd, FdEntry& e) {
   if (want & ~old) wake_->signal();
 }
 
-void Reactor::add_waiter(int fd, Interest interest, std::function<void()> fire,
-                         std::function<bool()> dead) {
-  const unsigned mask = static_cast<unsigned>(interest);
-  std::vector<Waiter> pruned;  // destroyed after the unlock (see take_dead)
+void Reactor::add_waiter(int fd, Interest interest, threads::Offer o) {
+  std::vector<threads::Offer> now;
   plat_.lock(lock_);
   FdEntry& e = fds_[fd];
-  detail::take_dead(e.waiters, pruned);
-  e.waiters.push_back(Waiter{mask, std::move(fire), std::move(dead)});
+  (interest == Interest::kRead ? e.readers : e.writers).push(std::move(o));
   rearm(fd, e);
   if (e.armed == 0) {
     // Unpollable fd (see rearm): fire now rather than never.
-    Waiter w = std::move(e.waiters.back());
-    e.waiters.pop_back();
-    if (e.waiters.empty()) fds_.erase(fd);
-    plat_.unlock(lock_);
-    w.fire();
-    return;
+    e.readers.take_all(now);
+    e.writers.take_all(now);
+    fds_.erase(fd);
   }
   plat_.unlock(lock_);
+  for (auto& o : now) o.fire(sched_);
 }
 
 void Reactor::wait_fd(int fd, Interest interest) {
@@ -175,8 +175,7 @@ void Reactor::wait_fd(int fd, Interest interest) {
   const double parked_at = plat_.now_us();
 #endif
   sched_.suspend([&](threads::ThreadState t) {
-    add_waiter(fd, interest,
-               [this, t]() mutable { sched_.reschedule(std::move(t)); });
+    add_waiter(fd, interest, threads::Offer::plain(std::move(t)));
   });
 #if MPNJ_METRICS
   const double waited = plat_.now_us() - parked_at;
@@ -186,17 +185,17 @@ void Reactor::wait_fd(int fd, Interest interest) {
 }
 
 void Reactor::forget_fd(int fd) {
-  std::vector<std::function<void()>> fires;
+  std::vector<threads::Offer> fires;
   plat_.lock(lock_);
   auto it = fds_.find(fd);
   if (it != fds_.end()) {
-    for (auto& w : it->second.waiters) fires.push_back(std::move(w.fire));
-    it->second.waiters.clear();
+    it->second.readers.take_all(fires);
+    it->second.writers.take_all(fires);
     rearm(fd, it->second);
     fds_.erase(it);
   }
   plat_.unlock(lock_);
-  for (auto& f : fires) f();
+  for (auto& o : fires) o.fire(sched_);
 }
 
 // ----- demultiplexing -----
@@ -273,29 +272,22 @@ int Reactor::fire_ready(const std::vector<Ready>& ready) {
   // produced.
   const std::size_t rot =
       fuzz::pick(fuzz::Kind::kIoOrder, ready.size(), 0);
-  std::vector<std::function<void()>> fires;
+  std::vector<threads::Offer> fires;
   plat_.lock(lock_);
   for (std::size_t i = 0; i < ready.size(); i++) {
     const Ready& r = ready[(i + rot) % ready.size()];
     auto it = fds_.find(r.fd);
     if (it == fds_.end()) continue;  // raced with forget_fd
     FdEntry& e = it->second;
-    auto keep = e.waiters.begin();
-    for (auto& w : e.waiters) {
-      if (w.mask & r.mask) {
-        fires.push_back(std::move(w.fire));
-      } else {
-        *keep++ = std::move(w);
-      }
-    }
-    e.waiters.erase(keep, e.waiters.end());
+    if (r.mask & kReadMask) e.readers.take_all(fires);
+    if (r.mask & kWriteMask) e.writers.take_all(fires);
     rearm(r.fd, e);
-    if (e.waiters.empty()) fds_.erase(it);
+    if (e.want() == 0) fds_.erase(it);
   }
   plat_.unlock(lock_);
-  // Waiter callbacks run outside the reactor lock (they enqueue on the
-  // scheduler's ready queues / commit CML offers).
-  for (auto& f : fires) f();
+  // Offers fire outside the reactor lock (they enqueue on the scheduler's
+  // ready queues).
+  for (auto& o : fires) o.fire(sched_);
   const int fired = static_cast<int>(fires.size());
   if (fired > 0) {
     MPNJ_METRIC_COUNT(kIoWakeups, static_cast<std::uint64_t>(fired));

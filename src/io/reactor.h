@@ -2,23 +2,26 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "arch/wakeport.h"
+#include "threads/offer.h"
 #include "threads/scheduler.h"
 
 // The event-driven I/O reactor: the bridge between file-descriptor
 // readiness and the MLthread scheduler.  A thread that would block on a
-// socket instead parks its continuation here (wait_fd / add_waiter) and the
-// proc dispatches other runnable threads — a proc never sits in the kernel
-// while runnable work exists.  Readiness is drained by the procs
-// themselves through the scheduler's IdleWaiter hook: busy procs poll the
-// reactor on a short cadence from their dispatch loops, and a fully idle
-// proc blocks in the kernel demultiplexer (epoll, or poll(2) as the
-// portable fallback) with a bounded timeout.
+// socket instead parks an offer here (wait_fd / add_waiter) and the proc
+// dispatches other runnable threads — a proc never sits in the kernel while
+// runnable work exists.  Each fd keeps one threads::OfferList per interest,
+// and readiness fires every offer of the ready interests by the offer rule
+// (threads/offer.h): a parked thread and a CML readiness event park and
+// wake the same way.  Readiness is drained by the procs themselves through
+// the scheduler's IdleWaiter hook: busy procs poll the reactor on a short
+// cadence from their dispatch loops, and a fully idle proc blocks in the
+// kernel demultiplexer (epoll, or poll(2) as the portable fallback) with a
+// bounded timeout.
 //
 // GC cooperation.  Every blocking entry point brackets itself with
 // platform safe points, waits are bounded by ReactorConfig::max_wait_us,
@@ -33,30 +36,6 @@
 // from any OS thread (the preemption ticker, a GC initiator).
 
 namespace mp::io {
-
-namespace detail {
-
-// Moves the callbacks of `ws` whose `dead` predicate holds to `out`,
-// keeping the rest in order.  The readiness registries (reactor fd
-// waiters, pipe readable callbacks) call it under their lock before each
-// push, so a select that keeps losing on a silent source does not pin one
-// continuation per loss; offers that are claimed but not committed are not
-// dead.  Destroy `out` after unlocking: a callback may hold the last handle
-// on a stream, whose close takes the lock.
-template <typename W>
-void take_dead(std::vector<W>& ws, std::vector<W>& out) {
-  auto keep = ws.begin();
-  for (auto& w : ws) {
-    if (w.dead && w.dead()) {
-      out.push_back(std::move(w));
-    } else {
-      *keep++ = std::move(w);
-    }
-  }
-  ws.erase(keep, ws.end());
-}
-
-}  // namespace detail
 
 enum class Interest : unsigned { kRead = 1u, kWrite = 2u };
 
@@ -84,18 +63,14 @@ class Reactor final : public threads::IdleWaiter {
   // and come back on EAGAIN.
   void wait_fd(int fd, Interest interest);
 
-  // One-shot readiness callback: `fire` runs once, from whichever proc
-  // drains the readiness event, with preemption masked — it must be brief
-  // and non-blocking (typical body: reschedule a thread or commit a CML
-  // offer).  Fires immediately if registration with the kernel fails with
-  // EPERM (regular files: always ready).  `dead`, if given, reports that
-  // firing would do nothing any more; such a waiter is dropped unfired at
-  // the fd's next registration (see detail::take_dead).  It runs under the
-  // reactor lock, so it must only read state.
-  void add_waiter(int fd, Interest interest, std::function<void()> fire,
-                  std::function<bool()> dead = nullptr);
+  // Park a one-shot readiness offer: whichever proc drains the readiness
+  // event fires it (Offer::fire: a plain offer's thread is rescheduled, a
+  // CML offer commits unless its sync committed elsewhere).  Fires
+  // immediately if registration with the kernel fails with EPERM (regular
+  // files: always ready).  Dead offers are pruned by the list's rule.
+  void add_waiter(int fd, Interest interest, threads::Offer o);
 
-  // Drop `fd` from the demultiplexer and fire all of its parked waiters
+  // Drop `fd` from the demultiplexer and fire all of its parked offers
   // (they re-poll and observe whatever state — usually EOF — made the
   // caller close).  Call before close(2)ing a registered fd.
   void forget_fd(int fd);
@@ -108,26 +83,23 @@ class Reactor final : public threads::IdleWaiter {
   void notify() override;
 
  private:
-  struct Waiter {
-    unsigned mask;
-    std::function<void()> fire;
-    std::function<bool()> dead;
-  };
   struct FdEntry {
     unsigned armed = 0;  // interest mask currently registered in the kernel
-    std::vector<Waiter> waiters;
+    threads::OfferList readers;
+    threads::OfferList writers;
+    unsigned want() const;  // interest mask of the parked offers
   };
   struct Ready {
     int fd;
     unsigned mask;
   };
 
-  // Re-register `fd`'s kernel interest after its waiter list changed;
+  // Re-register `fd`'s kernel interest after its offer lists changed;
   // called with lock_ held.
   void rearm(int fd, FdEntry& e);
   // One demultiplexer pass: collect ready fds (blocking up to timeout_us),
-  // detach and run matching waiters.  Returns the number fired.  Callers
-  // hold the single-poller slot, not lock_.
+  // detach and fire the offers of the ready interests.  Returns the number
+  // fired.  Callers hold the single-poller slot, not lock_.
   int drive(double timeout_us);
   int collect_epoll(double timeout_us, std::vector<Ready>& out);
   int collect_poll(double timeout_us, std::vector<Ready>& out);

@@ -10,13 +10,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <vector>
 
 #include "arch/panic.h"
 #include "arch/sysio.h"
 #include "metrics/metrics.h"
-#include "threads/queue.h"
 
 namespace mp::io {
 
@@ -29,16 +27,9 @@ constexpr double kPipeInstrPerByte = 0.25;
 
 // ----- virtual pipes -----
 
-// A parked one-shot readable callback (StreamImpl::on_readable).
-struct ReadableCb {
-  std::function<void()> fire;
-  std::function<bool()> dead;
-};
-
-// Shared state of one pipe: a bounded byte ring plus parked readers,
-// writers and one-shot readable callbacks.  All transitions happen under
-// the platform lock; wakeups are collected inside and run after unlock
-// (reschedule takes the scheduler's queue locks).
+// Shared state of one pipe: a bounded byte ring plus its parked offers.
+// All transitions happen under the platform lock; offers are taken inside
+// and fired after unlock (reschedule takes the scheduler's queue locks).
 struct PipeCore {
   threads::Scheduler& sched;
   Platform& plat;
@@ -48,9 +39,8 @@ struct PipeCore {
   std::size_t count = 0;  // bytes buffered
   bool rd_closed = false;
   bool wr_closed = false;
-  std::deque<threads::ThreadState> readers;
-  std::deque<threads::ThreadState> writers;
-  std::vector<ReadableCb> readable_cbs;
+  threads::OfferList readers;  // parked reads and readable-event offers
+  threads::OfferList writers;
 
   PipeCore(threads::Scheduler& s, std::size_t capacity)
       : sched(s), plat(s.platform()), ring(capacity) {
@@ -75,22 +65,9 @@ struct PipeCore {
     std::memcpy(ring.data(), in + first, m - first);
   }
 
-  // Move every parked thread of `q` into `out` (caller reschedules after
-  // unlocking).
-  static void collect(std::deque<threads::ThreadState>& q,
-                      std::vector<threads::ThreadState>& out) {
-    while (!q.empty()) {
-      out.push_back(std::move(q.front()));
-      q.pop_front();
-    }
-  }
-
-  void run_wakeups(std::vector<threads::ThreadState>& threads,
-                   std::vector<ReadableCb>& cbs) {
-    for (auto& t : threads) sched.reschedule(std::move(t));
-    for (auto& cb : cbs) cb.fire();
-    threads.clear();
-    cbs.clear();
+  void fire(std::vector<threads::Offer>& offers) {
+    for (auto& o : offers) o.fire(sched);
+    offers.clear();
   }
 };
 
@@ -109,8 +86,7 @@ class PipeEnd final : public StreamImpl {
     MPNJ_CHECK(readable_end_, "read from the write end of a pipe");
     if (n == 0) return 0;
     PipeCore& c = *core_;
-    std::vector<threads::ThreadState> wake;
-    std::vector<ReadableCb> cbs;
+    std::vector<threads::Offer> wake;
     c.plat.lock(c.lock);
     for (;;) {
       if (c.count > 0) {
@@ -118,9 +94,9 @@ class PipeEnd final : public StreamImpl {
         c.copy_out(static_cast<unsigned char*>(buf), m);
         c.head = (c.head + m) % c.ring.size();
         c.count -= m;
-        PipeCore::collect(c.writers, wake);  // space freed
+        c.writers.take_all(wake);  // space freed
         c.plat.unlock(c.lock);
-        c.run_wakeups(wake, cbs);
+        c.fire(wake);
         c.plat.work(kPipeInstrPerByte * static_cast<double>(m));
         MPNJ_METRIC_COUNT(kIoBytesRead, m);
         return m;
@@ -134,7 +110,7 @@ class PipeEnd final : public StreamImpl {
       const double parked_at = c.plat.now_us();
 #endif
       c.sched.suspend([&](threads::ThreadState t) {
-        c.readers.push_back(std::move(t));
+        c.readers.push(threads::Offer::plain(std::move(t)));
         c.plat.unlock(c.lock);
       });
 #if MPNJ_METRICS
@@ -151,8 +127,7 @@ class PipeEnd final : public StreamImpl {
     PipeCore& c = *core_;
     const auto* in = static_cast<const unsigned char*>(buf);
     std::size_t off = 0;
-    std::vector<threads::ThreadState> wake;
-    std::vector<ReadableCb> cbs;
+    std::vector<threads::Offer> wake;
     c.plat.lock(c.lock);
     while (off < n) {
       if (c.rd_closed) {
@@ -168,10 +143,9 @@ class PipeEnd final : public StreamImpl {
         c.copy_in(in + off, m);
         c.count += m;
         off += m;
-        PipeCore::collect(c.readers, wake);
-        cbs.swap(c.readable_cbs);
+        c.readers.take_all(wake);
         c.plat.unlock(c.lock);
-        c.run_wakeups(wake, cbs);
+        c.fire(wake);
         c.plat.work(kPipeInstrPerByte * static_cast<double>(m));
         MPNJ_METRIC_COUNT(kIoBytesWritten, m);
         c.plat.lock(c.lock);
@@ -179,7 +153,7 @@ class PipeEnd final : public StreamImpl {
       }
       MPNJ_METRIC_COUNT(kIoParked, 1);
       c.sched.suspend([&](threads::ThreadState t) {
-        c.writers.push_back(std::move(t));
+        c.writers.push(threads::Offer::plain(std::move(t)));
         c.plat.unlock(c.lock);
       });
       c.plat.lock(c.lock);
@@ -196,26 +170,22 @@ class PipeEnd final : public StreamImpl {
     return r;
   }
 
-  void on_readable(std::function<void()> fire,
-                   std::function<bool()> dead) override {
+  void on_readable(threads::Offer o) override {
     MPNJ_CHECK(readable_end_, "readiness wait on the write end of a pipe");
     PipeCore& c = *core_;
-    std::vector<ReadableCb> pruned;  // destroyed after the unlock
     c.plat.lock(c.lock);
     if (c.readable_locked()) {
       c.plat.unlock(c.lock);
-      fire();
+      o.fire(c.sched);
       return;
     }
-    detail::take_dead(c.readable_cbs, pruned);
-    c.readable_cbs.push_back(ReadableCb{std::move(fire), std::move(dead)});
+    c.readers.push(std::move(o));
     c.plat.unlock(c.lock);
   }
 
   void close() override {
     PipeCore& c = *core_;
-    std::vector<threads::ThreadState> wake;
-    std::vector<ReadableCb> cbs;
+    std::vector<threads::Offer> wake;
     c.plat.lock(c.lock);
     if (closed_) {
       c.plat.unlock(c.lock);
@@ -227,11 +197,10 @@ class PipeEnd final : public StreamImpl {
     } else {
       c.wr_closed = true;  // parked readers wake into EOF
     }
-    PipeCore::collect(c.readers, wake);
-    PipeCore::collect(c.writers, wake);
-    cbs.swap(c.readable_cbs);  // EOF counts as readable
+    c.readers.take_all(wake);  // EOF counts as readable
+    c.writers.take_all(wake);
     c.plat.unlock(c.lock);
-    c.run_wakeups(wake, cbs);
+    c.fire(wake);
   }
 
  private:
@@ -312,16 +281,14 @@ class FdStream final : public StreamImpl {
     return n > 0 && (pf.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
   }
 
-  void on_readable(std::function<void()> fire,
-                   std::function<bool()> dead) override {
+  void on_readable(threads::Offer o) override {
     // Fast path only: the reactor's demultiplexer is level-triggered, so a
     // readiness edge between this check and the registration still fires.
     if (poll_readable()) {
-      fire();
+      o.fire(reactor_.scheduler());
       return;
     }
-    reactor_.add_waiter(fd_, Interest::kRead, std::move(fire),
-                        std::move(dead));
+    reactor_.add_waiter(fd_, Interest::kRead, std::move(o));
   }
 
   void close() override {

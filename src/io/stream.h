@@ -3,17 +3,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <utility>
 
 #include "io/reactor.h"
+#include "threads/offer.h"
 #include "threads/scheduler.h"
 
 // Byte streams with blocking-looking reads and writes that never block the
-// proc: when a stream cannot make progress the calling MLthread parks its
-// continuation (against fd readiness in the reactor, or on the pipe's own
-// waiter queues) and the proc dispatches other work.
+// proc: when a stream cannot make progress the calling MLthread parks an
+// offer (threads/offer.h: against fd readiness in the reactor, or on the
+// pipe's own reader and writer lists) and the proc dispatches other work.
+// A CML readiness event (io_event.h) parks the same record on the same
+// lists.
 //
 // Two families share one interface:
 //  - Virtual pipes (Stream::pipe): in-memory bounded byte rings handed off
@@ -45,13 +47,10 @@ class StreamImpl {
   virtual void write_all(const void* buf, std::size_t n) = 0;
   // Non-blocking: would read_some return without parking (data or EOF)?
   virtual bool poll_readable() = 0;
-  // One-shot callback when the stream becomes readable (or hits EOF).
-  // Runs from whichever proc observes readiness; must be brief and
-  // non-blocking.  Fires immediately if already readable.  Once `dead`
-  // holds, the next registration drops it unfired (see detail::take_dead);
-  // `dead` runs under the stream's registry lock and must only read state.
-  virtual void on_readable(std::function<void()> fire,
-                           std::function<bool()> dead) = 0;
+  // Park a one-shot offer that fires (Offer::fire) when the stream becomes
+  // readable or hits EOF, from whichever proc observes it; fires at once
+  // if already readable.  Dead offers are pruned by the list's rule.
+  virtual void on_readable(threads::Offer o) = 0;
   virtual void close() = 0;
 };
 

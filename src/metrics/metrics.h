@@ -88,7 +88,7 @@ enum class Counter : std::uint32_t {
   // CML channels (cml/cml.h).
   kCmlSends,          // send offers committed
   kCmlRecvs,          // receive offers committed
-  kCmlSelectRetries,  // dead/retracted candidates skipped while polling
+  kCmlSelectRetries,  // candidates that died while claimed (retracted)
   kCmlOffersParked,   // offers parked on a channel queue
   // I/O reactor (io/reactor.h, io/stream.h, arch/sysio.h).
   kIoWakeups,          // waiters (threads / event offers) woken by readiness

@@ -6,6 +6,7 @@
 #include "arch/panic.h"
 #include "fuzz/hooks.h"
 #include "metrics/metrics.h"
+#include "threads/offer.h"
 
 namespace mp::threads {
 
@@ -434,9 +435,10 @@ void Scheduler::reschedule(ThreadState t) {
   }
 #endif
   queue_->enq(plat_, std::move(t));
-  // Every wakeup source — sync.cpp reschedules, CML offer commits, reactor
-  // callbacks, timer fires — funnels through this enqueue, so the single
-  // wake_one here is the whole targeted-wakeup protocol's entry point.
+  // Every wakeup source — sync.cpp reschedules, and the offer commits of
+  // channels, pipes, the reactor and timers — funnels through this enqueue,
+  // so the single wake_one here is the whole targeted-wakeup protocol's
+  // entry point.
   wake_one();
 }
 
@@ -454,15 +456,23 @@ void Scheduler::dispatch_from_blocked() {
 
 // ----- timers -----
 
-void Scheduler::at(double deadline_us, std::function<void()> fn) {
+namespace {
+bool later(const std::pair<double, Offer>& a,
+           const std::pair<double, Offer>& b) {
+  return a.first > b.first;  // min-heap by deadline
+}
+}  // namespace
+
+void Scheduler::at(double deadline_us, Offer o) {
   plat_.lock(timer_lock_);
   const double previous = next_deadline_.load(std::memory_order_relaxed);
-  timers_.push_back(Timer{deadline_us, std::move(fn)});
-  std::push_heap(timers_.begin(), timers_.end(),
-                 [](const Timer& a, const Timer& b) {
-                   return a.deadline > b.deadline;  // min-heap
-                 });
-  const double earliest = timers_.front().deadline;
+  if (prune_before_push(timers_, timers_until_scan_,
+                        [](const auto& t) { return t.second.dead(); })) {
+    std::make_heap(timers_.begin(), timers_.end(), later);
+  }
+  timers_.emplace_back(deadline_us, std::move(o));
+  std::push_heap(timers_.begin(), timers_.end(), later);
+  const double earliest = timers_.front().first;
   next_deadline_.store(earliest, std::memory_order_release);
   plat_.unlock(timer_lock_);
   if (earliest < previous) {
@@ -475,23 +485,20 @@ void Scheduler::at(double deadline_us, std::function<void()> fn) {
 void Scheduler::run_expired_timers() {
   // Entered from dispatch with kPreempt masked.
   const double now = plat_.now_us();
-  std::vector<std::function<void()>> due;
+  std::vector<Offer> due;
   plat_.lock(timer_lock_);
-  while (!timers_.empty() && timers_.front().deadline <= now) {
-    std::pop_heap(timers_.begin(), timers_.end(),
-                  [](const Timer& a, const Timer& b) {
-                    return a.deadline > b.deadline;
-                  });
-    due.push_back(std::move(timers_.back().fn));
+  while (!timers_.empty() && timers_.front().first <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), later);
+    due.push_back(std::move(timers_.back().second));
     timers_.pop_back();
   }
   next_deadline_.store(timers_.empty()
                            ? std::numeric_limits<double>::infinity()
-                           : timers_.front().deadline,
+                           : timers_.front().first,
                        std::memory_order_release);
   plat_.unlock(timer_lock_);
   MPNJ_METRIC_COUNT(kSchedTimerFires, due.size());
-  for (auto& fn : due) fn();
+  for (Offer& o : due) o.fire(*this);
 }
 
 void Scheduler::sleep_until(double deadline_us) {
@@ -499,11 +506,7 @@ void Scheduler::sleep_until(double deadline_us) {
     yield();  // already due: still a scheduling point
     return;
   }
-  suspend([&](ThreadState t) {
-    at(deadline_us, [this, t = std::move(t)]() mutable {
-      reschedule(std::move(t));
-    });
-  });
+  suspend([&](ThreadState t) { at(deadline_us, Offer::plain(std::move(t))); });
 }
 
 void Scheduler::sleep_for(double us) { sleep_until(plat_.now_us() + us); }

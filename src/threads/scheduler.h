@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "metrics/metrics.h"
@@ -13,6 +14,8 @@
 #include "threads/trace.h"
 
 namespace mp::threads {
+
+struct Offer;  // threads/offer.h
 
 // Instruction-count charges for scheduler operations (converted to virtual
 // time by the simulator's machine model; free on native hardware where the
@@ -135,13 +138,14 @@ class Scheduler {
   // ---- timers (extension: timer-driven wakeups, the mechanism section
   // 3.4 suggests for simulating inter-proc alerts) ----
 
-  // Run `fn` once the platform clock reaches `deadline_us`.  The callback
-  // executes inside a dispatch loop with preemption masked: it must be
-  // brief and must not block (typical body: reschedule a parked thread or
-  // commit an event offer).  Resolution is bounded by scheduler activity,
-  // which preemption guarantees on busy procs; with hold_procs=false and
-  // every proc released, timers do not fire.
-  void at(double deadline_us, std::function<void()> fn);
+  // Fire `o` (Offer::fire) once the platform clock reaches `deadline_us`,
+  // from inside a dispatch loop with preemption masked: a plain offer's
+  // thread is rescheduled, a CML offer commits unless its sync already
+  // committed elsewhere (such offers are pruned by the offer-list rule).
+  // Resolution is bounded by scheduler activity, which preemption
+  // guarantees on busy procs; with hold_procs=false and every proc
+  // released, timers do not fire.
+  void at(double deadline_us, Offer o);
   // Park the calling thread until the platform clock reaches the deadline.
   void sleep_until(double deadline_us);
   void sleep_for(double us);
@@ -165,11 +169,6 @@ class Scheduler {
                   const std::function<void(Scheduler&)>& main_fn);
 
  private:
-  struct Timer {
-    double deadline;
-    std::function<void()> fn;
-  };
-
   // Resumes the next ready thread directly (cont::switch_to), abandoning
   // the frames above the current boot record: every caller runs at the top
   // of a runtime-made callcc body or entry whose frames own nothing.
@@ -212,7 +211,9 @@ class Scheduler {
   std::atomic<bool> shutdown_{false};
 
   MutexLock timer_lock_;
-  std::vector<Timer> timers_;  // min-heap by deadline
+  // Min-heap of parked offers by deadline, pruned before each push.
+  std::vector<std::pair<double, Offer>> timers_;
+  std::size_t timers_until_scan_ = 0;
   std::atomic<double> next_deadline_{
       std::numeric_limits<double>::infinity()};
 

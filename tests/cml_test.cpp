@@ -318,14 +318,17 @@ TEST_P(CmlTest, PingPongManyRounds) {
 
 TEST_P(CmlTest, BothSidesSelecting) {
   // Two threads each offering {send on own, recv on other}: exactly one
-  // pairing must commit per round, with no lost or duplicated values.
+  // pairing must commit per round, with no lost or duplicated values.  On
+  // two native procs the selects cross: each may claim its own sync and
+  // then find the other's claimed, and neither may wait for the other.
+  constexpr int kRounds = 10000;
   auto p = make(2);
   std::atomic<int> transfers{0};
   run(*p, [&](Scheduler& s) {
     Channel<int> ab(s), ba(s);
     CountdownLatch latch(s, 2);
     s.fork([&] {
-      for (int i = 0; i < 40; i++) {
+      for (int i = 0; i < kRounds; i++) {
         Event<int>::choose(
             {ab.send_event(i).wrap<int>([](Unit) { return -1; }),
              ba.recv_event()})
@@ -335,7 +338,7 @@ TEST_P(CmlTest, BothSidesSelecting) {
       latch.count_down();
     });
     s.fork([&] {
-      for (int i = 0; i < 40; i++) {
+      for (int i = 0; i < kRounds; i++) {
         Event<int>::choose(
             {ba.send_event(i).wrap<int>([](Unit) { return -1; }),
              ab.recv_event()})
@@ -346,7 +349,32 @@ TEST_P(CmlTest, BothSidesSelecting) {
     });
     latch.await();
   });
-  EXPECT_EQ(transfers.load(), 80);
+  EXPECT_EQ(transfers.load(), 2 * kRounds);
+}
+
+TEST_P(CmlTest, SelectOfferingSendAndRecvOnOneChannelPairsWithAPartner) {
+  // One proc: the forked select runs first and parks both of its offers
+  // before the partner arrives, so each base polls the other's offer.  A
+  // sync must never match its own offer (claiming its own cell and then
+  // waiting on that claim spins forever); the partner pairs with one base.
+  auto p = make(1);
+  int sent = 0, first = 0, second = 0;
+  run(*p, [&](Scheduler& s) {
+    Channel<int> ch(s);
+    const auto select = [&](int* result) {
+      *result = Event<int>::choose(
+                    {ch.send_event(1).wrap<int>([](Unit) { return -1; }),
+                     ch.recv_event()})
+                    .sync(s);
+    };
+    s.fork([&] { select(&first); });
+    sent = ch.recv();  // takes the select's send
+    s.fork([&] { select(&second); });
+    ch.send(2);  // takes the select's receive
+  });
+  EXPECT_EQ(sent, 1);
+  EXPECT_EQ(first, -1);
+  EXPECT_EQ(second, 2);
 }
 
 // ---------- Mailbox: the asynchronous buffered channel ----------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -178,27 +179,28 @@ TEST_P(ExtTest, SleepForAdvancesClock) {
 TEST_P(ExtTest, TimerCallbacksFireInDeadlineOrder) {
   auto p = make_platform(GetParam(), 2);
   std::vector<int> order;
-  // Completion is signalled *after* each callback's unlock: the root lambda
-  // destroys the mutex when it returns, so it must not race a callback that
-  // has published its entry but is still releasing the lock.
-  std::atomic<int> fired{0};
   Scheduler::run(*p, {}, [&](Scheduler& s) {
-    const double t0 = s.platform().now_us();
+    constexpr double kGapUs = 5000;
+    double t0 = 0;
     mp::threads::Mutex m(s);
-    const auto cb = [&](int n) {
-      m.lock();
-      order.push_back(n);
-      m.unlock();
-      fired.fetch_add(1, std::memory_order_release);
-    };
-    s.at(t0 + 3000, [&, cb] { cb(3); });
-    s.at(t0 + 1000, [&, cb] { cb(1); });
-    s.at(t0 + 2000, [&, cb] { cb(2); });
-    while (fired.load(std::memory_order_acquire) < 3 &&
-           s.platform().now_us() < t0 + 5e6) {
-      s.platform().work(100);
-      s.yield();
+    CountdownLatch go(s, 1);
+    CountdownLatch woke(s, 3);
+    // Forked out of deadline order, and the deadlines are set only once
+    // all three exist (a fork can outlast a gap on a slow host): the timer
+    // heap must wake them in deadline order.
+    for (const int n : {3, 1, 2}) {
+      s.fork([&, n] {
+        go.await();
+        s.sleep_until(t0 + kGapUs * n);
+        m.lock();
+        order.push_back(n);
+        m.unlock();
+        woke.count_down();
+      });
     }
+    t0 = s.platform().now_us();
+    go.count_down();
+    woke.await();
   });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -466,7 +468,7 @@ TEST_P(ExtTest, CancelUnwindsASuspendedThread) {
   bool resumed_user_code = false;
   Scheduler::run(*p, {}, [&](Scheduler& s) {
     mp::threads::ThreadState parked;
-    bool have_parked = false;
+    std::atomic<bool> have_parked{false};
     s.fork([&] {
       struct Raii {
         bool* flag;
@@ -493,7 +495,7 @@ TEST_P(ExtTest, CancelledThreadCanCatchAndFinish) {
   bool observed = false;
   Scheduler::run(*p, {}, [&](Scheduler& s) {
     mp::threads::ThreadState parked;
-    bool have_parked = false;
+    std::atomic<bool> have_parked{false};
     s.fork([&] {
       try {
         s.suspend([&](mp::threads::ThreadState t) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <variant>
 #include <vector>
@@ -217,6 +218,13 @@ struct ChanFuzzCase {
   std::uint64_t seed;
   int procs;
 };
+
+// Without a printer gtest dumps the raw bytes, and the struct's tail
+// padding (uninitialised) would land in the test names that
+// gtest_discover_tests records, changing them from build to build.
+void PrintTo(const ChanFuzzCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " on " << c.procs << " procs";
+}
 
 class ChannelFuzz : public ::testing::TestWithParam<ChanFuzzCase> {};
 

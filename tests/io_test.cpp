@@ -610,8 +610,9 @@ TEST(IoSelect, DeterministicOnSim) {
 
 // A select that loses to another branch leaves its offer parked on the
 // silent source; the offer's sync has committed, so it is dead, but it holds
-// the sync's continuation core.  The source's next registration drops it,
-// so a run of losing selects leaves no more than the last one's offer.
+// the sync's continuation core.  The source's offer list prunes dead offers
+// before its pushes (threads/offer.h), so a run of losing selects leaves no
+// more than the last one's offer.
 constexpr int kLosingSelects = 2000;
 constexpr std::ptrdiff_t kCoreSlack = 4;
 
@@ -672,6 +673,15 @@ TEST(DeadOffers, LosingSelectsOnANeverSentChannelLeaveNoCores) {
           [](std::uint64_t) { return Unit{}; });
     };
     EXPECT_LE(cores_left_by_losing_selects(sched, silent), kCoreSlack);
+  });
+}
+
+TEST(DeadOffers, LosingTimeoutsLeaveNoCores) {
+  auto p = make_platform(Backend::kNative, 1);
+  run_threads(*p, [](Scheduler& sched) {
+    EXPECT_LE(cores_left_by_losing_selects(
+                  sched, [&] { return Event<Unit>::after(sched, 60e6); }),
+              kCoreSlack);
   });
 }
 

@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "mp/native_platform.h"
 #include "mp/sim_platform.h"
+#include "threads/offer.h"
 #include "threads/scheduler.h"
 #include "threads/sync.h"
 
@@ -22,10 +24,13 @@ using mp::threads::CondVar;
 using mp::threads::CountdownLatch;
 using mp::threads::DistributedQueue;
 using mp::threads::Mutex;
+using mp::threads::Offer;
+using mp::threads::OfferList;
 using mp::threads::RWLock;
 using mp::threads::Scheduler;
 using mp::threads::SchedulerConfig;
 using mp::threads::Semaphore;
+using mp::threads::SyncCell;
 
 enum class Backend { kSim, kNative };
 
@@ -520,6 +525,79 @@ TEST(ThreadsSim, MoreProcsFinishSoonerOnParallelWork) {
   const double t8 = elapsed(8);
   EXPECT_GT(t1 / t8, 5.0) << "8 procs should speed up close to 8x";
   EXPECT_LT(t1 / t8, 8.5);
+}
+
+// ---------- the offer list (threads/offer.h) ----------
+
+// An offer of base `base` of the sync `cell` decides; list tests never
+// resume it, so it carries no continuation.
+Offer offer_of(const std::shared_ptr<SyncCell>& cell, int base = 0) {
+  Offer o;
+  o.cell = cell;
+  o.base = base;
+  return o;
+}
+
+TEST(OfferList, PushPrunesCommittedOffersAndKeepsClaimedOnes) {
+  OfferList list;
+  const auto committed = std::make_shared<SyncCell>();
+  const auto claimed = std::make_shared<SyncCell>();
+  list.push(offer_of(committed));
+  list.push(offer_of(claimed));
+  committed->commit_self(0);  // its sync committed through another base
+  ASSERT_TRUE(claimed->try_claim());
+  // A scan comes within as many pushes as the list held at the last one.
+  constexpr int kLive = 8;
+  for (int i = 0; i < kLive; i++) {
+    list.push(offer_of(std::make_shared<SyncCell>()));
+  }
+  EXPECT_EQ(list.size(), static_cast<std::size_t>(kLive) + 1);
+  std::optional<Offer> first = list.take(nullptr);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->cell, claimed);
+}
+
+TEST(OfferList, TakeReturnsOffersInFifoOrder) {
+  OfferList list;
+  for (int i = 0; i < 5; i++) {
+    list.push(offer_of(std::make_shared<SyncCell>(), i));
+  }
+  for (int i = 0; i < 5; i++) {
+    std::optional<Offer> o = list.take(nullptr);
+    ASSERT_TRUE(o.has_value());
+    EXPECT_EQ(o->base, i);
+  }
+  EXPECT_FALSE(list.take(nullptr).has_value());
+}
+
+TEST(OfferList, TakeSkipsDeadOffersAndTheTakersOwn) {
+  OfferList list;
+  const auto dead = std::make_shared<SyncCell>();
+  const auto own = std::make_shared<SyncCell>();
+  list.push(offer_of(dead, 0));
+  list.push(offer_of(own, 1));
+  list.push(offer_of(std::make_shared<SyncCell>(), 2));
+  list.push(offer_of(own, 3));
+  list.push(offer_of(std::make_shared<SyncCell>(), 4));
+  dead->commit_self(0);
+  std::optional<Offer> o = list.take(own.get());
+  ASSERT_TRUE(o.has_value());
+  EXPECT_EQ(o->base, 2);
+  o = list.take(own.get());
+  ASSERT_TRUE(o.has_value());
+  EXPECT_EQ(o->base, 4);
+  EXPECT_FALSE(list.take(own.get()).has_value());
+  EXPECT_EQ(list.size(), 2u);  // the taker's own offers stay parked
+}
+
+TEST(OfferList, AListWhoseOffersAllLoseHoldsAtMostOne) {
+  OfferList list;
+  for (int i = 0; i < 1000; i++) {
+    const auto cell = std::make_shared<SyncCell>();
+    list.push(offer_of(cell));
+    EXPECT_LE(list.size(), 1u);
+    cell->commit_self(1);  // the sync commits elsewhere: the offer loses
+  }
 }
 
 }  // namespace

@@ -169,30 +169,37 @@ TEST(UniPlatform, GarbageCollectionWorksWithoutStoppingAnything) {
 }
 
 TEST(UniPlatform, PreemptionTimerInterleavesComputeThreads) {
+  constexpr double kIntervalUs = 500;  // real time on this backend
   UniPlatformConfig cfg;
-  cfg.preempt_interval_us = 500;  // real time on this backend
+  cfg.preempt_interval_us = kIntervalUs;
   UniPlatform p(cfg);
   std::vector<int> trace;
+  int switches = 0;
   SchedulerConfig sc;
-  sc.preempt_interval_us = 500;
+  sc.preempt_interval_us = kIntervalUs;
   Scheduler::run(p, std::move(sc), [&](Scheduler& s) {
+    // Only the timer can switch the two threads: each computes in 100 us
+    // steps, logging each step, until the log shows two switches.  The
+    // bound is 40 intervals' worth of steps: it rides out a host that keeps
+    // the ticker thread asleep for a while, and it counts compute, not wall
+    // time, so a stall of the whole process does not use it up.  A timer
+    // far slower than configured still runs it out.
+    constexpr double kStepUs = 100;
+    constexpr std::size_t kMaxSteps = 40 * kIntervalUs / kStepUs;
     CountdownLatch latch(s, 2);
     for (int id = 1; id <= 2; id++) {
       s.fork([&, id] {
-        for (int i = 0; i < 50; i++) {
+        while (switches <= 1 && trace.size() < kMaxSteps) {
+          if (!trace.empty() && trace.back() != id) switches++;
           trace.push_back(id);
           const double t0 = s.platform().now_us();
-          while (s.platform().now_us() - t0 < 100) s.platform().work(20);
+          while (s.platform().now_us() - t0 < kStepUs) s.platform().work(20);
         }
         latch.count_down();
       });
     }
     latch.await();
   });
-  int switches = 0;
-  for (std::size_t i = 1; i < trace.size(); i++) {
-    if (trace[i] != trace[i - 1]) switches++;
-  }
   EXPECT_GT(switches, 1) << "the timer must preempt compute-bound threads";
 }
 
