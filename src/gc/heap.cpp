@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "arch/tas.h"
@@ -17,7 +18,6 @@ namespace mp::gc {
 namespace {
 
 constexpr std::size_t kWord = kWordBytes;
-constexpr std::size_t kMaxInlineFields = 64;
 // Newly dirtied cards queue per proc and flush to the global list in batches;
 // the buffer is tiny because a card can only be queued once per collection
 // cycle (the dirty byte filters duplicates).
@@ -30,13 +30,13 @@ bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 // proc at the charge point) updates them.
 class TempRoots {
  public:
-  TempRoots(Value* slots, std::size_t n) {
+  explicit TempRoots(std::span<Value> slots) {
     cont::ExecContext* ex = cont::current_exec();
     MPNJ_CHECK(ex != nullptr && ex->seg != nullptr,
                "heap allocation outside a proc's client context");
     hdr_.prev = static_cast<RootFrameHdr*>(ex->root_head);
-    hdr_.slots = slots;
-    hdr_.count = n;
+    hdr_.slots = slots.data();
+    hdr_.count = slots.size();
     ex->root_head = &hdr_;
   }
   ~TempRoots() {
@@ -129,7 +129,9 @@ Heap::Heap(const HeapConfig& config, Rendezvous& rendezvous,
     : cfg_(config),
       rendezvous_(rendezvous),
       accounting_(accounting),
-      copier_(config.par_block_words) {
+      bump_inline_(!accounting.charges_alloc()),
+      copier_(config.par_block_words),
+      proc_heaps_(static_cast<std::size_t>(rendezvous.nproc())) {
   cfg_.validate();
   nursery_words_ = cfg_.nursery_bytes / kWord;
   const std::size_t nproc = static_cast<std::size_t>(rendezvous_.nproc());
@@ -146,7 +148,6 @@ Heap::Heap(const HeapConfig& config, Rendezvous& rendezvous,
     cards_.init(old_words_, cfg_.card_bytes / kWord);
   }
   los_.init(cfg_.los_bytes);
-  proc_heaps_.resize(nproc);
   for (auto& ph : proc_heaps_) ph.card_buf.reserve(kCardBufCap);
   free_chunks_.reserve(num_chunks_);
   for (std::size_t i = num_chunks_; i > 0; i--) {
@@ -158,6 +159,7 @@ Heap::Heap(const HeapConfig& config, Rendezvous& rendezvous,
 Heap::~Heap() {
   MPNJ_CHECK(global_roots_ == nullptr,
              "heap destroyed while GlobalRoots are still registered");
+  fold_alloc_counts();
   delete[] nursery_;
   delete[] old_a_;
   delete[] old_b_;
@@ -198,8 +200,10 @@ HeapStats Heap::stats() const {
   };
   using metrics::Counter;
   HeapStats s;
-  s.words_allocated = delta(Counter::kGcAllocWords);
-  s.allocations = delta(Counter::kGcAllocs);
+  for (const ProcHeap& ph : proc_heaps_) {
+    s.allocations += ph.allocs.load(std::memory_order_relaxed);
+    s.words_allocated += ph.alloc_words.load(std::memory_order_relaxed);
+  }
   s.minor_gcs = delta(Counter::kGcMinor);
   s.major_gcs = delta(Counter::kGcMajor);
   s.words_copied_minor = delta(Counter::kGcWordsCopiedMinor);
@@ -241,9 +245,7 @@ bool Heap::grab_chunk(ProcHeap& ph) {
 std::uint64_t* Heap::alloc_raw(ObjKind kind, std::size_t field_words,
                                std::size_t length_for_header,
                                std::span<Value> rooted_args) {
-  const int pid = rendezvous_.cur_proc();
-  MPNJ_CHECK(pid >= 0, "allocation outside a proc");
-  ProcHeap* ph = &proc_heaps_[static_cast<std::size_t>(pid)];
+  ProcHeap* ph = &cur_proc_heap();
   const std::size_t words = 1 + field_words;
 
   // Charge point (a clean point: another proc's collection may run here; the
@@ -272,8 +274,10 @@ std::uint64_t* Heap::alloc_raw(ObjKind kind, std::size_t field_words,
     ph->alloc += words;
   }
   obj[0] = make_header(kind, length_for_header);
-  MPNJ_METRIC_COUNT_ALWAYS(kGcAllocWords, words);
-  MPNJ_METRIC_COUNT_ALWAYS(kGcAllocs, 1);
+  // Count on the proc this thread runs on now: a collection joined above
+  // (or in alloc_los) may have moved it.
+  proc_heaps_[static_cast<std::size_t>(rendezvous_.cur_proc())].count_alloc(
+      words);
   return obj;
 }
 
@@ -305,50 +309,49 @@ std::uint64_t* Heap::alloc_los(std::size_t words, ObjKind kind,
       words);
 }
 
-Value Heap::alloc_record(std::span<const Value> fields) {
-  MPNJ_CHECK(fields.size() <= kMaxInlineFields,
+Value Heap::alloc_record_slow(std::span<const Value> fields) {
+  MPNJ_CHECK(fields.size() <= kMaxRecordFields,
              "records are limited to %d fields; use an array",
-             static_cast<int>(kMaxInlineFields));
-  Value buf[kMaxInlineFields];
-  std::copy(fields.begin(), fields.end(), buf);
-  TempRoots roots(buf, fields.size());
+             static_cast<int>(kMaxRecordFields));
+  // Uninitialized room for the fields: only the record's own fields are
+  // copied in and rooted.
+  union FieldBuf {
+    FieldBuf() {}
+    Value v[kMaxRecordFields];
+  } buf;
+  std::uninitialized_copy(fields.begin(), fields.end(), buf.v);
+  const std::span<Value> args(buf.v, fields.size());
+  TempRoots roots(args);
   std::uint64_t* obj =
-      alloc_raw(ObjKind::kRecord, fields.size(), fields.size(),
-                std::span<Value>(buf, fields.size()));
-  for (std::size_t i = 0; i < fields.size(); i++) obj[1 + i] = buf[i].raw_bits();
-  return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
+      alloc_raw(ObjKind::kRecord, fields.size(), fields.size(), args);
+  for (std::size_t i = 0; i < args.size(); i++) obj[1 + i] = args[i].raw_bits();
+  return value_of(obj);
 }
 
-Value Heap::alloc_array(std::size_t n, Value init) {
+Value Heap::alloc_filled_slow(ObjKind kind, std::size_t n, Value init) {
   Value buf[1] = {init};
-  TempRoots roots(buf, 1);
-  std::uint64_t* obj =
-      alloc_raw(ObjKind::kArray, n, n, std::span<Value>(buf, 1));
+  TempRoots roots(buf);
+  std::uint64_t* obj = alloc_raw(kind, n, n, buf);
   for (std::size_t i = 0; i < n; i++) obj[1 + i] = buf[0].raw_bits();
-  return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
-}
-
-Value Heap::alloc_ref(Value init) {
-  Value buf[1] = {init};
-  TempRoots roots(buf, 1);
-  std::uint64_t* obj = alloc_raw(ObjKind::kRef, 1, 1, std::span<Value>(buf, 1));
-  obj[1] = buf[0].raw_bits();
-  return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
+  return value_of(obj);
 }
 
 Value Heap::alloc_bytes(std::string_view data) {
   const std::size_t payload_words = (data.size() + kWord - 1) / kWord;
-  std::uint64_t* obj =
-      alloc_raw(ObjKind::kBytes, payload_words, data.size(), {});
+  std::uint64_t* obj = try_bump(ObjKind::kBytes, payload_words, data.size());
+  if (obj == nullptr) {
+    obj = alloc_raw(ObjKind::kBytes, payload_words, data.size(), {});
+  }
   if (payload_words > 0) obj[payload_words] = 0;  // zero the tail word
   std::memcpy(obj + 1, data.data(), data.size());
-  return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
+  return value_of(obj);
 }
 
 Value Heap::alloc_real(double d) {
-  std::uint64_t* obj = alloc_raw(ObjKind::kReal, 1, sizeof(double), {});
+  std::uint64_t* obj = try_bump(ObjKind::kReal, 1, sizeof(double));
+  if (obj == nullptr) obj = alloc_raw(ObjKind::kReal, 1, sizeof(double), {});
   std::memcpy(obj + 1, &d, sizeof(double));
-  return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
+  return value_of(obj);
 }
 
 // ----- mutation (barrier slow path) -----
@@ -673,6 +676,19 @@ std::uint64_t Heap::parallel_phase(std::span<const ScanRange> ranges,
   return res.live_words;
 }
 
+void Heap::fold_alloc_counts() {
+  std::uint64_t allocs = 0;
+  std::uint64_t words = 0;
+  for (const ProcHeap& ph : proc_heaps_) {
+    allocs += ph.allocs.load(std::memory_order_relaxed);
+    words += ph.alloc_words.load(std::memory_order_relaxed);
+  }
+  MPNJ_METRIC_COUNT_ALWAYS(kGcAllocs, allocs - folded_allocs_);
+  MPNJ_METRIC_COUNT_ALWAYS(kGcAllocWords, words - folded_alloc_words_);
+  folded_allocs_ = allocs;
+  folded_alloc_words_ = words;
+}
+
 void Heap::maybe_verify(const char* phase) {
   if (!cfg_.verify_after_phase) return;
   std::string err;
@@ -736,6 +752,7 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
     pending_cards_.clear();
   }
   los_.clear_all_dirty();
+  fold_alloc_counts();
   MPNJ_METRIC_COUNT_ALWAYS(kGcMinor, 1);
   maybe_verify("minor");
   const auto minor_end = clock::now();

@@ -12,6 +12,7 @@
 #include "gc/card_table.h"
 #include "gc/hooks.h"
 #include "gc/los.h"
+#include "gc/object_layout.h"
 #include "gc/parallel_copy.h"
 #include "gc/roots.h"
 #include "gc/value.h"
@@ -147,11 +148,13 @@ struct HeapConfig {
   static bool default_verify_after_phase();
 };
 
-// Aggregated heap statistics.  A thin shim over mp::metrics: the counters
-// live in the process-wide metrics registry (always-on tier, so they survive
-// MPNJ_METRICS=0 builds and env settings) and stats() returns the delta
-// since this Heap was constructed.  los_bytes is the exception: it is the
-// heap's *current* live large-object footprint, not a delta.
+// Aggregated heap statistics since this Heap was constructed.  The
+// allocation totals are the heap's own per-proc counts (which reach the
+// metrics registry at each collection and when the Heap is destroyed); the
+// other counters live in the process-wide metrics registry (always-on tier,
+// so they survive MPNJ_METRICS=0 builds and env settings) and stats()
+// returns their delta.  los_bytes is the exception: it is the heap's
+// *current* live large-object footprint, not a delta.
 struct HeapStats {
   std::uint64_t words_allocated = 0;
   std::uint64_t allocations = 0;
@@ -194,13 +197,36 @@ class Heap {
   Heap(const Heap&) = delete;
   Heap& operator=(const Heap&) = delete;
 
-  // --- allocation (must be called on a proc) ---
-  Value alloc_record(std::span<const Value> fields);
+  // Records hold at most this many fields; use an array beyond it.
+  static constexpr std::size_t kMaxRecordFields = 64;
+
+  // --- allocation (must be called in a proc's client context) ---
+  // On a platform whose allocation charge is a no-op (native, uni), an
+  // object that fits the proc's nursery chunk below the LOS threshold is a
+  // bump of the proc's own pointer plus the header and field writes: no
+  // lock, no atomic read-modify-write, no root frame, since no collection
+  // can run in between.  Everything else (a chunk refill, a collection, the
+  // LOS, and every allocation on a platform that charges it) takes the
+  // out-of-line slow path.
+  Value alloc_record(std::span<const Value> fields) {
+    if (fields.size() <= kMaxRecordFields) {
+      if (std::uint64_t* obj =
+              try_bump(ObjKind::kRecord, fields.size(), fields.size())) {
+        for (std::size_t i = 0; i < fields.size(); i++) {
+          obj[1 + i] = fields[i].raw_bits();
+        }
+        return value_of(obj);
+      }
+    }
+    return alloc_record_slow(fields);
+  }
   Value alloc_record(std::initializer_list<Value> fields) {
     return alloc_record(std::span<const Value>(fields.begin(), fields.size()));
   }
-  Value alloc_array(std::size_t n, Value init);
-  Value alloc_ref(Value init);
+  Value alloc_array(std::size_t n, Value init) {
+    return alloc_filled(ObjKind::kArray, n, init);
+  }
+  Value alloc_ref(Value init) { return alloc_filled(ObjKind::kRef, 1, init); }
   Value alloc_bytes(std::string_view data);
   Value alloc_real(double d);
 
@@ -231,7 +257,8 @@ class Heap {
   // Force a collection now (tests / benchmarks); world-stops like any GC.
   void collect_now(bool force_major = false);
 
-  // Statistics since this Heap's construction (metrics registry delta).
+  // Statistics since this Heap's construction: the allocation totals are
+  // this heap's own per-proc counts, the rest metrics registry deltas.
   HeapStats stats() const;
   std::size_t old_space_used_words() const;
   std::size_t nursery_free_chunks() const;
@@ -272,11 +299,71 @@ class Heap {
   struct alignas(arch::kCacheLine) ProcHeap {
     std::uint64_t* alloc = nullptr;
     std::uint64_t* limit = nullptr;
+    // Allocation totals since the heap was built.  Only the OS thread that
+    // runs this proc adds to them, so an add is a relaxed load and store,
+    // not a read-modify-write; stats() and the collector's fold read them
+    // from other threads.
+    std::atomic<std::uint64_t> allocs{0};
+    std::atomic<std::uint64_t> alloc_words{0};
     std::vector<std::uint64_t*> store_list;   // kList mode
     std::vector<std::uint32_t> card_buf;      // kCard mode: unflushed cards
     std::uint64_t chunks_since_gc = 0;
+
+    void count_alloc(std::size_t words) {
+      allocs.store(allocs.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+      alloc_words.store(alloc_words.load(std::memory_order_relaxed) + words,
+                        std::memory_order_relaxed);
+    }
   };
 
+  static Value value_of(std::uint64_t* obj) {
+    return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
+  }
+
+  // The executing proc's allocation state; panics outside a proc's client
+  // context.
+  ProcHeap& cur_proc_heap() {
+    const int pid = rendezvous_.cur_proc();
+    MPNJ_CHECK(pid >= 0, "allocation outside a proc");
+    const cont::ExecContext* ex = cont::current_exec();
+    MPNJ_CHECK(ex != nullptr && ex->seg != nullptr,
+               "heap allocation outside a proc's client context");
+    return proc_heaps_[static_cast<std::size_t>(pid)];
+  }
+
+  // The fast path: bump the proc's chunk and write the header, or return
+  // null for the slow path (a charging platform, no room in the chunk, or
+  // an object the LOS takes).  Counts the allocation.
+  std::uint64_t* try_bump(ObjKind kind, std::size_t field_words,
+                          std::size_t length_for_header) {
+    if (!bump_inline_) return nullptr;
+    ProcHeap& ph = cur_proc_heap();
+    const std::size_t words = 1 + field_words;
+    if (words * kWordBytes >= cfg_.los_threshold_bytes ||
+        static_cast<std::size_t>(ph.limit - ph.alloc) < words) {
+      return nullptr;
+    }
+    std::uint64_t* obj = ph.alloc;
+    ph.alloc += words;
+    ph.count_alloc(words);
+    obj[0] = make_header(kind, length_for_header);
+    return obj;
+  }
+
+  // An array or ref of `n` copies of `init`.
+  Value alloc_filled(ObjKind kind, std::size_t n, Value init) {
+    if (std::uint64_t* obj = try_bump(kind, n, n)) {
+      for (std::size_t i = 0; i < n; i++) obj[1 + i] = init.raw_bits();
+      return value_of(obj);
+    }
+    return alloc_filled_slow(kind, n, init);
+  }
+
+  // The slow paths root the object's own arguments, then allocate through
+  // alloc_raw, which may refill the chunk, collect, or go to the LOS.
+  Value alloc_record_slow(std::span<const Value> fields);
+  Value alloc_filled_slow(ObjKind kind, std::size_t n, Value init);
   std::uint64_t* alloc_raw(ObjKind kind, std::size_t field_words,
                            std::size_t length_for_header,
                            std::span<Value> rooted_args);
@@ -307,12 +394,18 @@ class Heap {
   std::uint64_t* scan_object(std::uint64_t* obj);
   void drain_los_marks();
   void maybe_verify(const char* phase);
+  // Add the per-proc allocation counts not yet in the metrics registry to
+  // it (at each collection, with the world stopped, and at ~Heap).
+  void fold_alloc_counts();
   void register_global_root(GlobalRoot* root);
   void unregister_global_root(GlobalRoot* root);
 
   HeapConfig cfg_;
   Rendezvous& rendezvous_;
   Accounting& accounting_;
+  // The platform's charge_alloc is a no-op, so allocation may take the
+  // inline fast path (asked once, here at construction).
+  const bool bump_inline_;
   ParallelCopier copier_;
   // Metrics registry totals at construction; stats() subtracts these so each
   // Heap reports only its own activity.
@@ -353,6 +446,9 @@ class Heap {
   bool los_mark_phase_ = false;  // sequential collector: majors mark the LOS
 
   std::vector<ProcHeap> proc_heaps_;
+  // Per-proc allocation totals already added to the metrics registry.
+  std::uint64_t folded_allocs_ = 0;
+  std::uint64_t folded_alloc_words_ = 0;
 
   // Collection coordination.
   std::atomic<bool> gc_in_progress_{false};

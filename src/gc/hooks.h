@@ -63,6 +63,11 @@ class Accounting {
   // Account an allocation of `words` heap words (inline bump + write miss
   // traffic, the dominant bus load in SML/NJ programs).
   virtual void charge_alloc(std::uint64_t words) = 0;
+  // Whether charge_alloc does anything.  A platform answering false promises
+  // that charge_alloc is a no-op and never a clean point, so the heap may
+  // bump-allocate inline without calling it (Heap's allocation fast path).
+  // Asked once, when the Heap is built.
+  virtual bool charges_alloc() const { return true; }
   // Account a minor collection's remembered-set scan: `cards` dirty cards
   // re-parsed covering `words` old-generation words (card remset mode only;
   // the store-list baseline's root slots are charged through charge_gc).

@@ -60,6 +60,7 @@ class NativePlatform final : public Platform {
   // ---- gc::Accounting (real hardware: the computation is the cost) ----
   void charge_gc(std::uint64_t words_copied) override;
   void charge_alloc(std::uint64_t words) override;
+  bool charges_alloc() const override { return false; }
   void charge_card_scan(std::uint64_t cards, std::uint64_t words) override;
   void charge_los_alloc(std::uint64_t pages) override;
   void charge_los_sweep(std::uint64_t pages) override;

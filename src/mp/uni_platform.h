@@ -55,6 +55,7 @@ class UniPlatform final : public Platform {
   // ---- gc::Accounting ----
   void charge_gc(std::uint64_t) override {}
   void charge_alloc(std::uint64_t) override {}
+  bool charges_alloc() const override { return false; }
   void charge_card_scan(std::uint64_t, std::uint64_t) override {}
   void charge_los_alloc(std::uint64_t) override {}
   void charge_los_sweep(std::uint64_t) override {}

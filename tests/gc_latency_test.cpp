@@ -489,6 +489,74 @@ TEST(GcLatencyParallel, PromotionAndCardBuffersRaceUnderNativeProcs) {
   promotion_and_card_buffers_race(kDefaultRemset);
 }
 
+// ---------- the allocation fast path under real procs ----------
+
+// Two native procs build cons lists through the inline bump path and drop
+// them, across many minor collections and chunk refills, with the heap
+// re-verified after every phase.  After each list a proc reads
+// Heap::stats() while the other proc allocates, so the per-proc counts are
+// read by one thread while their owner writes them.
+TEST(GcFastPath, TwoNativeProcsBuildAndDropListsAcrossMinors) {
+  constexpr int kProcs = 2;
+  constexpr int kLists = 200;  // per proc
+  constexpr int kLen = 1000;   // cons cells per list
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = kProcs;
+  cfg.heap.with_nursery_bytes(64 * 1024).with_verify_after_phase(true);
+  mp::NativePlatform p(cfg);
+
+  std::atomic<int> workers_done{0};
+  std::atomic<int> bad_lists{0};
+  std::atomic<int> stats_went_back{0};
+  p.run([&] {
+    Heap& h = p.heap();
+    auto worker = [&](int lane) {
+      std::uint64_t seen = 0;
+      for (int l = 0; l < kLists; l++) {
+        const std::int64_t base =
+            (static_cast<std::int64_t>(lane) * kLists + l) * kLen;
+        Roots<1> list;
+        for (int i = 0; i < kLen; i++) {
+          list[0] = h.cons(Value::from_int(base + i), list[0]);
+        }
+        // Newest first: base + kLen - 1 down to base, then nil.
+        Value v = list[0];
+        std::int64_t want = base + kLen - 1;
+        while (v.is_ptr() && v.field(0).as_int() == want) {
+          v = v.field(1);
+          want--;
+        }
+        if (!v.is_nil() || want != base - 1) bad_lists.fetch_add(1);
+        const std::uint64_t now = h.stats().allocations;
+        if (now < seen) stats_went_back.fetch_add(1);
+        seen = now;
+      }
+      workers_done.fetch_add(1);
+    };
+
+    callcc<Unit>([&](Cont<Unit> parent) -> Unit {
+      if (!p.try_acquire_proc(std::move(parent), 0)) {
+        ADD_FAILURE() << "second proc unavailable";
+      }
+      // This body is lane 1's worker on the original proc; the main flow
+      // continues on the freshly acquired proc.
+      worker(1);
+      p.release_proc();
+    });
+    worker(0);
+    while (workers_done.load() < kProcs) p.work(50);
+  });
+
+  EXPECT_EQ(workers_done.load(), kProcs);
+  EXPECT_EQ(bad_lists.load(), 0);
+  EXPECT_EQ(stats_went_back.load(), 0);
+  const mp::gc::HeapStats s = p.heap().stats();
+  EXPECT_EQ(s.allocations, std::uint64_t{kProcs} * kLists * kLen);
+  EXPECT_EQ(s.words_allocated, 3 * s.allocations);
+  EXPECT_GE(s.minor_gcs, 50u);
+  EXPECT_GT(s.chunk_grabs, s.minor_gcs);
+}
+
 // ---------- simulator determinism with the new cost knobs ----------
 
 void traces_are_bit_reproducible(RemsetMode remset) {

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 
+#include "metrics/metrics.h"
 #include "mp/native_platform.h"
+#include "mp/uni_platform.h"
 #include "threads/scheduler.h"
 #include "workloads/runner.h"
 #include "workloads/workload.h"
@@ -90,6 +93,82 @@ INSTANTIATE_TEST_SUITE_P(All, WorkloadNames,
                          ::testing::Values("allpairs", "mst", "abisort",
                                            "simple", "mm", "seq"),
                          [](const auto& info) { return info.param; });
+
+// ---------- exact allocation totals ----------
+
+// make_abisort(10) allocates the same objects under any schedule: per merge
+// of n >= 32 elements one array of n/2 fields, and per merge of n >= 2
+// elements n/4 + 1 two-field records.  Summed over the recursion that is
+// 21058 objects and 73284 words (headers included); the top merge's array
+// goes to the large-object space.  Native and uni bump inline, the
+// simulator charges every allocation: all must count exactly these, and the
+// metrics registry must hold the same totals once the platform is gone.
+constexpr std::uint64_t kAbisort10Allocs = 21058;
+constexpr std::uint64_t kAbisort10Words = 73284;
+
+struct AllocTotals {
+  std::uint64_t allocs = 0;
+  std::uint64_t words = 0;
+  std::uint64_t minor_gcs = 0;
+};
+
+AllocTotals abisort10_totals(
+    const std::function<std::unique_ptr<mp::Platform>()>& make_platform) {
+  using mp::metrics::Counter;
+  const mp::metrics::Snapshot before = mp::metrics::registry().snapshot();
+  AllocTotals t;
+  {
+    std::unique_ptr<mp::Platform> p = make_platform();
+    auto w = make_abisort(10);
+    const int procs = p->max_procs();
+    Scheduler::run(*p, {}, [&](Scheduler& s) { w->run(s, procs); });
+    EXPECT_TRUE(w->verify());
+    const mp::gc::HeapStats hs = p->heap().stats();
+    t.allocs = hs.allocations;
+    t.words = hs.words_allocated;
+    t.minor_gcs = hs.minor_gcs;
+  }
+  const mp::metrics::Snapshot after = mp::metrics::registry().snapshot();
+  EXPECT_EQ(after.counter(Counter::kGcAllocs) - before.counter(Counter::kGcAllocs),
+            t.allocs);
+  EXPECT_EQ(after.counter(Counter::kGcAllocWords) -
+                before.counter(Counter::kGcAllocWords),
+            t.words);
+  return t;
+}
+
+TEST(AllocTotals, AbisortCountsEveryAllocationOnEveryBackend) {
+  // A 64 KiB nursery makes each run collect, so the counts reach the
+  // registry both at collections and when the heap is destroyed.
+  constexpr std::size_t kNursery = 64 * 1024;
+  auto native = [&](int procs) {
+    return [=] {
+      mp::NativePlatformConfig cfg;
+      cfg.max_procs = procs;
+      cfg.heap.with_nursery_bytes(kNursery);
+      return std::unique_ptr<mp::Platform>(
+          std::make_unique<mp::NativePlatform>(cfg));
+    };
+  };
+  const AllocTotals native1 = abisort10_totals(native(1));
+  const AllocTotals native2 = abisort10_totals(native(2));
+  const AllocTotals uni = abisort10_totals([&] {
+    mp::UniPlatformConfig cfg;
+    cfg.heap.with_nursery_bytes(kNursery);
+    return std::unique_ptr<mp::Platform>(std::make_unique<mp::UniPlatform>(cfg));
+  });
+  const AllocTotals sim = abisort10_totals([&] {
+    mp::SimPlatformConfig cfg;
+    cfg.machine = mp::sim::sequent_s81(4);
+    cfg.heap.with_nursery_bytes(kNursery);
+    return std::unique_ptr<mp::Platform>(std::make_unique<mp::SimPlatform>(cfg));
+  });
+  for (const AllocTotals& t : {native1, native2, uni, sim}) {
+    EXPECT_EQ(t.allocs, kAbisort10Allocs);
+    EXPECT_EQ(t.words, kAbisort10Words);
+    EXPECT_GT(t.minor_gcs, 0u);
+  }
+}
 
 // ---------- task_range partition properties ----------
 
