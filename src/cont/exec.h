@@ -23,6 +23,12 @@ struct ExecContext {
   // reference to it.  Null while the proc sits in its idle loop.
   StackSegment* seg = nullptr;
 
+  // The owning proc's id (what gc::Rendezvous::cur_proc() answers while this
+  // context is current), set by the platform backend that owns the context;
+  // -1 for a context no proc owns.  The heap's allocation fast path finds
+  // its per-proc state through it.
+  int proc_id = -1;
+
   // Head of the GC root chain of the logical thread currently executing.
   // Opaque to this layer; saved into and restored from continuations.
   void* root_head = nullptr;
@@ -82,8 +88,20 @@ struct ExecContext {
   }
 };
 
+namespace detail {
+// The initial-exec model makes every read of this variable a load relative
+// to the thread pointer.  A continuation may resume on another kernel thread
+// after any call, so the variable's address must never be computed once and
+// reused across a call, which is what the general-dynamic model that -fPIC
+// selects does with __tls_get_addr's result.
+[[gnu::tls_model("initial-exec")]] inline constinit thread_local ExecContext*
+    tl_exec = nullptr;
+}  // namespace detail
+
 // The executing proc's context; set by the platform backends.
-ExecContext* current_exec() noexcept;
-void set_current_exec(ExecContext* exec) noexcept;
+inline ExecContext* current_exec() noexcept { return detail::tl_exec; }
+inline void set_current_exec(ExecContext* exec) noexcept {
+  detail::tl_exec = exec;
+}
 
 }  // namespace mp::cont

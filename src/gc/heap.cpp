@@ -25,6 +25,18 @@ constexpr std::size_t kCardBufCap = 64;
 
 bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+}
+
+std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
+}
+
 // RAII temp root frame used inside allocation: roots the allocation's own
 // argument values so a collection triggered by the slow path (or by another
 // proc at the charge point) updates them.
@@ -214,6 +226,7 @@ HeapStats Heap::stats() const {
   s.large_allocs = delta(Counter::kGcLargeAllocs);
   s.cards_dirtied = delta(Counter::kGcCardsDirtied);
   s.cards_scanned = delta(Counter::kGcCardsScanned);
+  s.los_scanned = delta(Counter::kGcLosScanned);
   s.los_bytes = los_.used_bytes();
   return s;
 }
@@ -290,13 +303,21 @@ std::uint64_t* Heap::alloc_los(std::size_t words, ObjKind kind,
       accounting_.charge_los_alloc(pages);
       MPNJ_METRIC_COUNT_ALWAYS(kGcLargeAllocs, 1);
       MPNJ_METRIC_COUNT_ALWAYS(kGcLosBytesAllocated, words * kWord);
-      // Born dirty: a traced large object's initial fields may point into
-      // the nursery, and no store barrier will ever see those writes.  The
-      // next minor collection scans it like any recorded store.  (The old
-      // bump-into-old-generation path silently missed exactly this case.)
+      // The caller writes the initial fields from rooted_args with no store
+      // barrier, so a traced large object is born dirty when one of them
+      // points into the nursery: the next minor collection scans it like
+      // any recorded store.  (The old bump-into-old-generation path silently
+      // missed exactly this case.)  Nothing can collect between this check
+      // and those writes, so an object of immediates or old pointers is
+      // born clean and costs a minor nothing.
       if (kind == ObjKind::kRecord || kind == ObjKind::kArray ||
           kind == ObjKind::kRef) {
-        LargeObjectSpace::set_dirty(obj);
+        for (const Value v : rooted_args) {
+          if (in_nursery(v)) {
+            los_.set_dirty(obj);
+            break;
+          }
+        }
       }
       return obj;
     }
@@ -372,7 +393,7 @@ void Heap::record_store(std::uint64_t* obj, std::uint64_t* slot) {
   // in the old generation or the LOS.
   MPNJ_METRIC_COUNT_ALWAYS(kGcStores, 1);
   if (los_.contains(obj)) {
-    LargeObjectSpace::set_dirty(obj);
+    los_.set_dirty(obj);
     return;
   }
   if (!(obj >= old_cur_ && obj < old_alloc_)) return;
@@ -413,7 +434,10 @@ void Heap::stop_and_collect(bool force_major) {
     copier_.begin_cycle();
     fn = [this] { copier_.worker_cycle(); };
   }
+  const auto wait_start = Clock::now();
   rendezvous_.stop_world(std::move(fn));
+  MPNJ_METRIC_COUNT_ALWAYS(kGcRendezvousNs,
+                           ns_between(wait_start, Clock::now()));
   do_collect(force_major, {});
   // Release the workers before the world resumes; the backend guarantees
   // every co-opted proc has left the worker fn before running client code.
@@ -612,16 +636,12 @@ std::vector<ScanRange> Heap::gather_remset_ranges() {
   }
   // Dirty large objects are remembered ranges in both remset modes: the
   // store list never records LOS slots (an LOS store flips the object's
-  // dirty flag instead).
-  pending_los_.clear();
-  los_.for_each_object([&](std::uint64_t* obj) {
-    const LargeObjectSpace::Meta* m = LargeObjectSpace::meta_of(obj);
-    if (m->dirty.load(std::memory_order_relaxed) == 0) return;
-    pending_los_.push_back(obj);
-    const std::uint64_t hdr = obj[0];
-    if (!header_is_traced(hdr)) return;
-    std::uint64_t* hi = obj + 1 + header_field_words(hdr);
-    ranges.push_back(ScanRange{obj, obj + 1, hi});
+  // dirty flag instead).  Only listed objects are visited, and only traced
+  // ones are ever listed: the barrier sees arrays and refs, and alloc_los
+  // flags only traced kinds.
+  los_.for_each_dirty([&](std::uint64_t* obj) {
+    ranges.push_back(
+        ScanRange{obj, obj + 1, obj + 1 + header_field_words(obj[0])});
   });
   return ranges;
 }
@@ -698,25 +718,25 @@ void Heap::maybe_verify(const char* phase) {
 }
 
 void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
-  using clock = std::chrono::steady_clock;
-  auto us_between = [](clock::time_point a, clock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
-  };
-  const auto pause_start = clock::now();
+  const auto pause_start = Clock::now();
 
   // --- minor: evacuate the nursery into the old generation ---
   from_lo_ = nursery_;
   from_hi_ = nursery_ + nursery_words_;
   const std::vector<ScanRange> ranges = gather_remset_ranges();
+  const auto remset_end = Clock::now();
   const std::vector<std::uint64_t*> minor_roots =
       gather_root_slots(extra_roots, /*minor=*/true);
+  const auto roots_end = Clock::now();
   std::uint64_t cards_scanned = 0;
   std::uint64_t card_scan_words = 0;
+  std::uint64_t los_scanned = 0;
   for (const ScanRange& r : ranges) {
     if (r.lo >= old_cur_ && r.lo < old_cur_ + old_words_) {
       cards_scanned++;
       card_scan_words += static_cast<std::uint64_t>(r.hi - r.lo);
+    } else {
+      los_scanned++;
     }
   }
   const std::uint64_t minor_copied =
@@ -725,10 +745,12 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
   MPNJ_METRIC_COUNT_ALWAYS(kGcWordsCopiedMinor, minor_copied);
   MPNJ_METRIC_COUNT_ALWAYS(kGcCardsScanned, cards_scanned);
   MPNJ_METRIC_COUNT_ALWAYS(kGcCardScanWords, card_scan_words);
+  MPNJ_METRIC_COUNT_ALWAYS(kGcLosScanned, los_scanned);
   if (cards_scanned != 0 || card_scan_words != 0) {
     accounting_.charge_card_scan(cards_scanned, card_scan_words);
   }
   std::uint64_t copied = minor_copied;
+  const auto copy_end = Clock::now();
 
   // Reset the nursery: every chunk becomes free and every proc grabs anew.
   {
@@ -754,8 +776,13 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
   los_.clear_all_dirty();
   fold_alloc_counts();
   MPNJ_METRIC_COUNT_ALWAYS(kGcMinor, 1);
+  const auto reset_end = Clock::now();
+  MPNJ_METRIC_COUNT_ALWAYS(kGcRemsetNs, ns_between(pause_start, remset_end));
+  MPNJ_METRIC_COUNT_ALWAYS(kGcRootsNs, ns_between(remset_end, roots_end));
+  MPNJ_METRIC_COUNT_ALWAYS(kGcCopyNs, ns_between(roots_end, copy_end));
+  MPNJ_METRIC_COUNT_ALWAYS(kGcResetNs, ns_between(copy_end, reset_end));
   maybe_verify("minor");
-  const auto minor_end = clock::now();
+  const auto minor_end = Clock::now();
 
   // --- major: copy the old generation into the other semispace ---
   // LOS pressure escalates to a major too: only a major's sweep frees runs.
@@ -803,7 +830,7 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
 
   // Wall-clock pause, not virtual time: the simulator charges its own model
   // of GC cost via charge_gc; this measures what the host actually paid.
-  const auto pause_end = clock::now();
+  const auto pause_end = Clock::now();
   const std::uint64_t minor_us = us_between(pause_start, minor_end);
   const std::uint64_t major_us =
       need_major ? us_between(minor_end, pause_end) : 0;
@@ -905,6 +932,8 @@ bool Heap::verify(std::string* error) const {
   // the LOS equivalent of the card invariant above).
   bool los_ok = true;
   std::string los_err;
+  std::vector<const std::uint64_t*> los_live;
+  std::size_t los_flagged = 0;
   los_.for_each_object([&](std::uint64_t* lobj) {
     if (!los_ok) return;
     const LargeObjectSpace::Meta* m = LargeObjectSpace::meta_of(lobj);
@@ -913,6 +942,8 @@ bool Heap::verify(std::string* error) const {
       los_err = "LOS run with corrupt meta at " + describe_ptr(lobj);
       return;
     }
+    los_live.push_back(lobj);
+    if (m->dirty.load(std::memory_order_relaxed) != 0) los_flagged++;
     const std::uint64_t hdr = lobj[0];
     if ((hdr & 1u) != 0) {
       los_ok = false;
@@ -957,6 +988,32 @@ bool Heap::verify(std::string* error) const {
     }
   });
   if (!los_ok) return fail(los_err);
+
+  // The dirty list holds live, flagged objects, each once, and every flagged
+  // object is on it: a minor collection scans only the list, so a flagged
+  // object missing from it would hide its young pointers.
+  std::vector<const std::uint64_t*> listed;
+  los_.for_each_dirty([&](std::uint64_t* lobj) { listed.push_back(lobj); });
+  std::sort(los_live.begin(), los_live.end());
+  std::sort(listed.begin(), listed.end());
+  for (std::size_t i = 0; i < listed.size(); i++) {
+    if (i > 0 && listed[i] == listed[i - 1]) {
+      return fail("LOS object on the dirty list twice at " +
+                  describe_ptr(listed[i]));
+    }
+    if (!std::binary_search(los_live.begin(), los_live.end(), listed[i])) {
+      return fail("dead object on the LOS dirty list at " +
+                  describe_ptr(listed[i]));
+    }
+    if (LargeObjectSpace::meta_of(listed[i])->dirty.load(
+            std::memory_order_relaxed) == 0) {
+      return fail("clean LOS object on the dirty list at " +
+                  describe_ptr(listed[i]));
+    }
+  }
+  if (listed.size() != los_flagged) {
+    return fail("dirty LOS object missing from the dirty list");
+  }
 
   // Registered roots must hold valid values.
   for (GlobalRoot* r = global_roots_; r != nullptr; r = r->next_) {

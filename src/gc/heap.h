@@ -168,6 +168,7 @@ struct HeapStats {
   std::uint64_t large_allocs = 0;
   std::uint64_t cards_dirtied = 0;
   std::uint64_t cards_scanned = 0;
+  std::uint64_t los_scanned = 0;  // dirty large objects minors re-scanned
   std::uint64_t los_bytes = 0;  // live large-object bytes right now
 };
 
@@ -321,8 +322,8 @@ class Heap {
     return Value::from_raw_bits(reinterpret_cast<std::uint64_t>(obj));
   }
 
-  // The executing proc's allocation state; panics outside a proc's client
-  // context.
+  // The executing proc's allocation state, as the rendezvous names the
+  // proc (the slow path); panics outside a proc's client context.
   ProcHeap& cur_proc_heap() {
     const int pid = rendezvous_.cur_proc();
     MPNJ_CHECK(pid >= 0, "allocation outside a proc");
@@ -334,11 +335,16 @@ class Heap {
 
   // The fast path: bump the proc's chunk and write the header, or return
   // null for the slow path (a charging platform, no room in the chunk, or
-  // an object the LOS takes).  Counts the allocation.
+  // an object the LOS takes).  Counts the allocation.  The proc is the one
+  // the execution context names: a thread-local load, with no call.
   std::uint64_t* try_bump(ObjKind kind, std::size_t field_words,
                           std::size_t length_for_header) {
     if (!bump_inline_) return nullptr;
-    ProcHeap& ph = cur_proc_heap();
+    const cont::ExecContext* ex = cont::current_exec();
+    MPNJ_CHECK(ex != nullptr && ex->proc_id >= 0, "allocation outside a proc");
+    MPNJ_CHECK(ex->seg != nullptr,
+               "heap allocation outside a proc's client context");
+    ProcHeap& ph = proc_heaps_[static_cast<std::size_t>(ex->proc_id)];
     const std::size_t words = 1 + field_words;
     if (words * kWordBytes >= cfg_.los_threshold_bytes ||
         static_cast<std::size_t>(ph.limit - ph.alloc) < words) {
@@ -386,8 +392,8 @@ class Heap {
                                std::span<std::uint64_t* const> roots);
   std::vector<std::uint64_t*> gather_root_slots(std::span<Value> extra_roots,
                                                 bool minor);
-  // Consume the dirty-card buffers / LOS dirty flags into parse ranges for a
-  // minor phase; fills pending_cards_ for the post-phase clear.
+  // Consume the dirty-card buffers / the LOS dirty list into parse ranges
+  // for a minor phase; fills pending_cards_ for the post-phase clear.
   std::vector<ScanRange> gather_remset_ranges();
   void scan_range_seq(const ScanRange& r);
   void forward_slot(std::uint64_t* slot);
@@ -439,7 +445,6 @@ class Heap {
 
   // Large-object space.
   LargeObjectSpace los_;
-  std::vector<std::uint64_t*> pending_los_;  // dirty LOS objects this minor
   // Sequential major phases push newly marked LOS objects here and drain
   // them against the Cheney scan until a fixpoint.
   std::vector<std::uint64_t*> los_mark_stack_;

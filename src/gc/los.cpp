@@ -64,24 +64,46 @@ std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words,
   return reinterpret_cast<std::uint64_t*>(run) + kMetaWords;
 }
 
+void LargeObjectSpace::clear_dirty_locked() {
+  for (std::uint64_t* obj : dirty_) {
+    meta_of(obj)->dirty.store(0, std::memory_order_relaxed);
+  }
+  dirty_.clear();
+}
+
 void LargeObjectSpace::clear_all_dirty() {
   arch::TasGuard guard(lock_);
-  for (const std::uint32_t page : objects_) {
-    meta_of(object_at(page))->dirty.store(0, std::memory_order_relaxed);
+  clear_dirty_locked();
+}
+
+void LargeObjectSpace::coalesce(std::vector<Extent>& extents) {
+  std::sort(extents.begin(), extents.end(),
+            [](const Extent& a, const Extent& b) { return a.page < b.page; });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < extents.size(); i++) {
+    if (out > 0 &&
+        extents[out - 1].page + extents[out - 1].pages == extents[i].page) {
+      extents[out - 1].pages += extents[i].pages;
+    } else {
+      extents[out++] = extents[i];
+    }
   }
+  extents.resize(out);
 }
 
 LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
   SweepResult res;
   arch::TasGuard guard(lock_);
+  // Before any run is released: a listed object may be about to die.
+  clear_dirty_locked();
   std::vector<std::uint32_t> live;
   live.reserve(objects_.size());
+  std::vector<Extent> freed;
   for (const std::uint32_t page : objects_) {
     std::uint64_t* obj = object_at(page);
     Meta* meta = meta_of(obj);
     if (meta->mark.load(std::memory_order_relaxed) != 0) {
       meta->mark.store(0, std::memory_order_relaxed);
-      meta->dirty.store(0, std::memory_order_relaxed);
       live.push_back(page);
       res.objects_live++;
       continue;
@@ -90,25 +112,21 @@ LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
     res.bytes_freed += meta->obj_words * kWordBytes;
     res.pages_freed += meta->pages;
     meta->magic = 0;
-    free_.push_back(Extent{page, meta->pages});
-    ::madvise(base_ + std::size_t{page} * kPageBytes,
-              std::size_t{meta->pages} * kPageBytes, MADV_DONTNEED);
+    freed.push_back(Extent{page, meta->pages});
   }
   objects_.swap(live);
-  // Re-sort and coalesce the free list so fragmentation cannot accrete
-  // across sweeps.
-  std::sort(free_.begin(), free_.end(),
-            [](const Extent& a, const Extent& b) { return a.page < b.page; });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < free_.size(); i++) {
-    if (out > 0 &&
-        free_[out - 1].page + free_[out - 1].pages == free_[i].page) {
-      free_[out - 1].pages += free_[i].pages;
-    } else {
-      free_[out++] = free_[i];
-    }
+  // Dead runs are often neighbours (objects allocated together die
+  // together): one madvise per coalesced extent.
+  coalesce(freed);
+  for (const Extent& e : freed) {
+    ::madvise(base_ + std::size_t{e.page} * kPageBytes,
+              std::size_t{e.pages} * kPageBytes, MADV_DONTNEED);
   }
-  free_.resize(out);
+  res.extents_released = freed.size();
+  // Merge into the free list and re-coalesce, so fragmentation cannot
+  // accrete across sweeps.
+  free_.insert(free_.end(), freed.begin(), freed.end());
+  coalesce(free_);
   used_pages_.fetch_sub(static_cast<std::size_t>(res.pages_freed),
                         std::memory_order_relaxed);
   return res;

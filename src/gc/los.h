@@ -7,8 +7,10 @@
 // and — worse — an old-gen array born with nursery-pointing fields had no
 // store-list entry, so its young targets could be missed by the next minor
 // collection.  LOS objects are never copied: they are mark-swept by major
-// collections and born *dirty*, so the first minor collection after an
-// allocation scans their fields like any recorded store.
+// collections.  A traced object is born *dirty* when one of its initial
+// values points into the nursery, so the first minor collection after the
+// allocation scans its fields like any recorded store; an object of
+// immediates or old pointers is born clean and costs a minor nothing.
 //
 // Layout.  One contiguous anonymous mapping (MAP_NORESERVE: pages cost
 // nothing until touched) carved into page runs by a first-fit free list of
@@ -23,9 +25,16 @@
 // CAS-forwards old-generation headers, and keeping LOS state out of the
 // header means LOS objects need no forwarding protocol at all.
 //
-// Sweeping madvises freed runs back to the OS (MADV_DONTNEED) and coalesces
-// adjacent free extents, so peak RSS tracks live large objects, not the
-// arena reservation.
+// The dirty list.  The clean -> dirty transition of an object's flag is an
+// exchange, and its one winner appends the object to a list under the same
+// lock.  A minor collection's remembered-set gather, its post-copy reset and
+// the sweep visit only that list, so their cost follows the objects written
+// since the last collection, not every live large object.
+//
+// Sweeping frees every unmarked run, sorts and coalesces the freed runs,
+// and madvises each coalesced extent back to the OS (MADV_DONTNEED) with
+// one call, so peak RSS tracks live large objects, not the arena
+// reservation; the free list is re-coalesced too.
 
 #include <atomic>
 #include <cstdint>
@@ -56,6 +65,7 @@ class LargeObjectSpace {
     std::uint64_t bytes_freed = 0;
     std::uint64_t pages_freed = 0;
     std::uint64_t objects_live = 0;
+    std::uint64_t extents_released = 0;  // madvise calls (coalesced runs)
   };
 
   LargeObjectSpace() = default;
@@ -85,12 +95,14 @@ class LargeObjectSpace {
   }
 
   // Mutator barrier / allocation: flag the object as possibly holding young
-  // pointers.  Returns true when this call observed it clean.
-  static bool set_dirty(std::uint64_t* obj) {
+  // pointers.  Only the caller whose exchange moves the flag from clean to
+  // dirty appends the object to the dirty list, so it is listed once.
+  void set_dirty(std::uint64_t* obj) {
     std::atomic<std::uint8_t>& d = meta_of(obj)->dirty;
-    if (d.load(std::memory_order_relaxed) != 0) return false;
-    d.store(1, std::memory_order_relaxed);
-    return true;
+    if (d.load(std::memory_order_relaxed) != 0) return;
+    if (d.exchange(1, std::memory_order_relaxed) != 0) return;
+    arch::TasGuard guard(lock_);
+    dirty_.push_back(obj);
   }
 
   // Collector marking (major phase): returns true for the worker that
@@ -99,11 +111,13 @@ class LargeObjectSpace {
     return meta_of(obj)->mark.exchange(1, std::memory_order_acq_rel) == 0;
   }
 
-  // Post-minor: the nursery is empty, no object can hold young pointers.
+  // Post-minor: the nursery is empty, no object can hold young pointers;
+  // clears the flag of every listed object and empties the list.
   void clear_all_dirty();
 
-  // Post-major: free every unmarked run (madvise the pages away), clear all
-  // marks and dirty flags on survivors.
+  // Post-major: free every unmarked run (madvise the pages away, one call
+  // per coalesced extent), clear all marks on survivors, and empty the
+  // dirty list.
   SweepResult sweep();
 
   // Enumerate live objects (object header addresses).  Collector-side only.
@@ -112,6 +126,13 @@ class LargeObjectSpace {
     for (const std::uint32_t page : objects_) {
       fn(object_at(page));
     }
+  }
+
+  // Enumerate the dirty list: every object whose flag is set, once each.
+  // Collector-side only.
+  template <typename Fn>
+  void for_each_dirty(Fn&& fn) const {
+    for (std::uint64_t* obj : dirty_) fn(obj);
   }
 
   std::size_t object_count() const { return objects_.size(); }
@@ -135,6 +156,10 @@ class LargeObjectSpace {
     std::uint32_t page;
     std::uint32_t pages;
   };
+  // Sort by page and merge adjacent extents.
+  static void coalesce(std::vector<Extent>& extents);
+  // Clear the flag of every listed object and empty the list; lock_ held.
+  void clear_dirty_locked();
 
   char* base_ = nullptr;
   std::size_t arena_bytes_ = 0;
@@ -142,6 +167,7 @@ class LargeObjectSpace {
   mutable arch::TasWord lock_;
   std::vector<Extent> free_;          // sorted by page; adjacent runs merged
   std::vector<std::uint32_t> objects_;  // first page of every live run
+  std::vector<std::uint64_t*> dirty_;   // objects whose dirty flag is set
   std::atomic<std::size_t> used_pages_{0};
 };
 

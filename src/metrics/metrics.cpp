@@ -11,13 +11,16 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "lock_acquires",         "lock_contended",        "lock_spin_iters",
     "lock_backoff_rounds",   "lock_park_waits",       "lock_handoffs",
     "gc_minor",              "gc_major",
-    "gc_pause_us_total",     "gc_words_copied",       "gc_words_copied_minor",
+    "gc_pause_us_total",
+    "gc_rendezvous_ns",      "gc_remset_ns",          "gc_roots_ns",
+    "gc_copy_ns",            "gc_reset_ns",
+    "gc_words_copied",       "gc_words_copied_minor",
     "gc_words_copied_major", "gc_alloc_words",        "gc_allocs",
     "gc_stores_recorded",    "gc_chunk_grabs",        "gc_chunk_steals",
     "gc_large_allocs",
     "gc_cards_dirtied",      "gc_cards_scanned",      "gc_card_scan_words",
     "gc_card_flushes",       "gc_los_bytes_allocated", "gc_los_bytes_swept",
-    "gc_los_sweeps",         "gc_los_marked",
+    "gc_los_sweeps",         "gc_los_marked",         "gc_los_scanned",
     "gc_par_collections",    "gc_par_workers",
     "gc_par_steals",         "gc_par_overflow_pushes", "gc_par_pad_words",
     "gc_par_term_rounds",    "sched_dispatches",      "sched_preempts",

@@ -46,6 +46,14 @@ enum class Counter : std::uint32_t {
   kGcMinor,          // minor (nursery) collections
   kGcMajor,          // major (semispace) collections
   kGcPauseUsTotal,   // total stop-the-world pause, integer microseconds
+  // Where a collection's time goes, in nanoseconds summed over collections:
+  // the collector's wait for the world to stop (outside the pause above),
+  // then the minor phases inside it.
+  kGcRendezvousNs,   // stop_world: from the request until every proc parked
+  kGcRemsetNs,       // minor: dirty cards and dirty large objects gathered
+  kGcRootsNs,        // minor: root slots gathered (proc chains, cores, globals)
+  kGcCopyNs,         // minor: evacuation, remembered ranges included
+  kGcResetNs,        // minor: nursery, card and LOS dirty state reset
   kGcWordsCopied,    // live words copied by collections
   kGcWordsCopiedMinor,  // live words promoted by minor collections
   kGcWordsCopiedMajor,  // live words moved between semispaces by majors
@@ -66,6 +74,7 @@ enum class Counter : std::uint32_t {
   kGcLosBytesSwept,      // object bytes released by post-major sweeps
   kGcLosSweeps,          // post-major sweep passes
   kGcLosMarked,          // LOS objects marked live by major collections
+  kGcLosScanned,         // dirty LOS objects re-scanned by minor collections
   // Parallel collection (gc/parallel_copy.cpp).
   kGcParCollections,    // collections that ran the parallel copier
   kGcParWorkers,        // workers that participated, summed over collections

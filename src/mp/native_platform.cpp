@@ -36,6 +36,7 @@ NativePlatform::NativePlatform(NativePlatformConfig config)
   for (int i = 0; i < cfg_.max_procs; i++) {
     auto p = std::make_unique<NProc>();
     p->id = i;
+    p->exec.proc_id = i;
     p->prng.reseed(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (std::uint64_t)(i + 1)));
     p->port.open();
     procs_.push_back(std::move(p));

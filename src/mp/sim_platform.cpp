@@ -40,6 +40,7 @@ SimPlatform::SimPlatform(SimPlatformConfig config) : cfg_(std::move(config)) {
   for (int i = 0; i < cfg_.machine.num_procs; i++) {
     auto p = std::make_unique<SimProc>();
     p->id = i;
+    p->exec.proc_id = i;
     procs_.push_back(std::move(p));
   }
   engine_->set_resume_hook([this](int id) {

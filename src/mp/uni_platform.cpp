@@ -24,6 +24,7 @@ UniLockCell& cell_of(const MutexLock& l) {
 
 UniPlatform::UniPlatform(UniPlatformConfig config) {
   proc_.id = 0;
+  proc_.exec.proc_id = 0;
   rng_.reseed(config.seed);
   epoch_ = std::chrono::steady_clock::now();
   preempt_interval_us_.store(config.preempt_interval_us);

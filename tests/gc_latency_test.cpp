@@ -1,8 +1,9 @@
 // Tests for the latency-grade GC layers: card-marking remembered set vs the
 // paper's store-list baseline (observable equivalence), per-proc promotion
 // under real parallelism, the large-object space on all three platform
-// backends, simulator bit-reproducibility with the new cost knobs, and the
-// configuration death checks.
+// backends (born-clean allocation, the dirty list, the coalescing sweep),
+// the proc id the allocation fast path reads, simulator bit-reproducibility
+// with the new cost knobs, and the configuration death checks.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,9 @@
 #include <vector>
 
 #include "cont/cont.h"
+#include "cont/exec.h"
 #include "gc/heap.h"
+#include "gc/los.h"
 #include "gc/roots.h"
 #include "gc/value.h"
 #include "mp/native_platform.h"
@@ -93,6 +96,7 @@ class GcLatencyTest : public ::testing::Test {
   // GcLatencyTest runs each on the default remset, GcLatencyRemsetTest on
   // the remset its parameter names.
   void los_young_init_fields_survive_minor();
+  void los_born_clean_unless_young();
   void los_sweep_frees_unreachable_runs();
   void los_pressure_escalates_to_major();
   void pause_log_records_exact_samples();
@@ -244,6 +248,92 @@ TEST_F(GcLatencyTest, LosYoungInitFieldsSurviveMinor) {
 }
 TEST_P(GcLatencyRemsetTest, LosYoungInitFieldsSurviveMinor) {
   los_young_init_fields_survive_minor();
+}
+
+// A large array of immediates and one filled with an old-generation pointer
+// hold nothing a minor collection needs: both are born clean, and the next
+// minor scans no LOS range.  An array filled with a young pointer is born
+// dirty and is the one range the minor after it scans.
+void GcLatencyTest::los_born_clean_unless_young() {
+  Heap& h = make_heap_cfg(HeapConfig(base_)
+                              .with_nursery_bytes(64 * 1024)
+                              .with_old_bytes(1u << 20));
+  on_proc([&] {
+    Roots<5> r;
+    r[0] = h.alloc_record({Value::from_int(5), Value::from_int(6)});
+    h.collect_now();
+    ASSERT_TRUE(h.in_old_space(r[0]));
+    r[1] = h.alloc_array(8192, Value::from_int(7));
+    r[2] = h.alloc_array(8192, r[0]);
+    ASSERT_TRUE(h.in_los(r[1]));
+    ASSERT_TRUE(h.in_los(r[2]));
+    const std::uint64_t scanned = h.stats().los_scanned;
+    h.collect_now();
+    EXPECT_EQ(h.stats().los_scanned, scanned);
+
+    r[3] = h.alloc_record({Value::from_int(8)});
+    ASSERT_TRUE(h.in_nursery(r[3]));
+    r[4] = h.alloc_array(8192, r[3]);
+    r[3] = Value::nil();
+    h.collect_now();
+    EXPECT_EQ(h.stats().los_scanned, scanned + 1);
+    EXPECT_EQ(r[4].field(8191).field(0).as_int(), 8);
+    EXPECT_EQ(r[2].field(8191).field(1).as_int(), 6);
+    EXPECT_EQ(r[1].field(8191).as_int(), 7);
+    std::string err;
+    EXPECT_TRUE(h.verify(&err)) << err;
+  });
+}
+TEST_F(GcLatencyTest, LosBornCleanUnlessAnInitialValueIsYoung) {
+  los_born_clean_unless_young();
+}
+TEST_P(GcLatencyRemsetTest, LosBornCleanUnlessAnInitialValueIsYoung) {
+  los_born_clean_unless_young();
+}
+
+// Sweeping releases dead runs one coalesced extent at a time.  Three
+// adjacent dead runs become one free extent: a re-allocation of the same
+// size reuses its lowest page, and a run twice that size fits in the rest.
+// The sweep also empties the dirty list before it frees anything.
+TEST(GcLosSweep, AdjacentDeadRunsCoalesceIntoOneExtent) {
+  using mp::gc::LargeObjectSpace;
+  constexpr std::size_t kPageWords = LargeObjectSpace::kPageBytes / 8;
+  // Object sizes (header included) that fill runs of exactly 2 and 4 pages.
+  constexpr std::size_t kTwoPages =
+      2 * kPageWords - LargeObjectSpace::kMetaWords;
+  constexpr std::size_t kFourPages =
+      4 * kPageWords - LargeObjectSpace::kMetaWords;
+  LargeObjectSpace los;
+  los.init(64 * LargeObjectSpace::kPageBytes);
+  std::uint64_t* obj[6];
+  for (std::uint64_t*& o : obj) {
+    std::size_t pages = 0;
+    o = los.alloc(kTwoPages, &pages);
+    ASSERT_NE(o, nullptr);
+    ASSERT_EQ(pages, 2u);
+  }
+  for (int i = 1; i < 6; i++) ASSERT_EQ(obj[i], obj[i - 1] + 2 * kPageWords);
+
+  // obj[1..3] die together, obj[5] dies next to the arena's free tail;
+  // obj[0] and obj[4] survive.  A dying and a surviving object are listed.
+  los.set_dirty(obj[0]);
+  los.set_dirty(obj[2]);
+  ASSERT_TRUE(LargeObjectSpace::try_mark(obj[0]));
+  ASSERT_TRUE(LargeObjectSpace::try_mark(obj[4]));
+  const std::size_t used = los.used_bytes();
+  const LargeObjectSpace::SweepResult sw = los.sweep();
+  EXPECT_EQ(sw.objects_freed, 4u);
+  EXPECT_EQ(sw.objects_live, 2u);
+  EXPECT_EQ(sw.pages_freed, 8u);
+  EXPECT_EQ(sw.extents_released, 2u);
+  EXPECT_EQ(los.used_bytes(), used - 8 * LargeObjectSpace::kPageBytes);
+  int listed = 0;
+  los.for_each_dirty([&](std::uint64_t*) { listed++; });
+  EXPECT_EQ(listed, 0);
+  EXPECT_EQ(LargeObjectSpace::meta_of(obj[0])->dirty.load(), 0);
+
+  EXPECT_EQ(los.alloc(kTwoPages, nullptr), obj[1]);
+  EXPECT_EQ(los.alloc(kFourPages, nullptr), obj[2]);
 }
 
 void GcLatencyTest::los_sweep_frees_unreachable_runs() {
@@ -555,6 +645,148 @@ TEST(GcFastPath, TwoNativeProcsBuildAndDropListsAcrossMinors) {
   EXPECT_EQ(s.words_allocated, 3 * s.allocations);
   EXPECT_GE(s.minor_gcs, 50u);
   EXPECT_GT(s.chunk_grabs, s.minor_gcs);
+}
+
+// ---------- the LOS dirty list under real procs ----------
+
+// Two native procs store fresh records into the same large arrays (each
+// into its own interleaved slots, so no slot is written by both) while a
+// small nursery forces a minor every few hundred stores.  After every minor
+// both procs race the clean -> dirty exchange of each array again, and the
+// heap is re-verified after every phase, so a lost or doubled dirty-list
+// push fails the dirty-list check, and a young pointer a minor missed fails
+// the content check.
+TEST(GcLosDirtyList, TwoNativeProcsStoreYoungPointersIntoSharedArrays) {
+  constexpr int kProcs = 2;
+  constexpr std::size_t kArrays = 4;
+  constexpr std::size_t kSlots = 1024;  // 8 KiB each: large objects
+  constexpr int kStoresPerProc = 40000;
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = kProcs;
+  cfg.heap.with_nursery_bytes(64 * 1024).with_verify_after_phase(true);
+  mp::NativePlatform p(cfg);
+
+  std::atomic<int> workers_done{0};
+  std::atomic<int> bad_slots{0};
+  p.run([&] {
+    Heap& h = p.heap();
+    std::vector<GlobalRoot> arrays;
+    arrays.reserve(kArrays);
+    for (std::size_t a = 0; a < kArrays; a++) {
+      arrays.emplace_back(h, h.alloc_array(kSlots, Value::from_int(0)));
+      ASSERT_TRUE(h.in_los(arrays.back().get()));
+    }
+    // A stored record is {lane, i, lane * 1000003 + i}.
+    auto well_formed = [](Value v) {
+      return !v.is_ptr() ||
+             v.field(2).as_int() ==
+                 v.field(0).as_int() * 1000003 + v.field(1).as_int();
+    };
+    auto worker = [&](int lane) {
+      std::uint64_t rng = 0x5151 + static_cast<std::uint64_t>(lane);
+      for (int i = 0; i < kStoresPerProc; i++) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const std::size_t a = (rng >> 33) % kArrays;
+        const std::size_t slot = (rng >> 40) % (kSlots / kProcs) * kProcs +
+                                 static_cast<std::size_t>(lane);
+        Roots<1> r;
+        r[0] = h.alloc_record({Value::from_int(lane), Value::from_int(i),
+                               Value::from_int(lane * 1000003 + i)});
+        h.store(arrays[a].get(), slot, r[0]);
+        h.alloc_record({Value::from_int(i)});  // garbage: more minors
+        if (!well_formed(arrays[a].get().field(slot))) bad_slots.fetch_add(1);
+      }
+      workers_done.fetch_add(1);
+    };
+
+    callcc<Unit>([&](Cont<Unit> parent) -> Unit {
+      if (!p.try_acquire_proc(std::move(parent), 0)) {
+        ADD_FAILURE() << "second proc unavailable";
+      }
+      // This body is lane 1's worker on the original proc; the main flow
+      // continues on the freshly acquired proc.
+      worker(1);
+      p.release_proc();
+    });
+    worker(0);
+    while (workers_done.load() < kProcs) p.work(50);
+
+    h.collect_now(/*force_major=*/true);
+    std::string err;
+    EXPECT_TRUE(h.verify(&err)) << err;
+    for (const GlobalRoot& arr : arrays) {
+      for (std::size_t s = 0; s < kSlots; s++) {
+        if (!well_formed(arr.get().field(s))) bad_slots.fetch_add(1);
+      }
+    }
+  });
+
+  EXPECT_EQ(workers_done.load(), kProcs);
+  EXPECT_EQ(bad_slots.load(), 0);
+  EXPECT_GE(p.heap().stats().minor_gcs, 50u);
+  EXPECT_GT(p.heap().stats().los_scanned, 0u);
+}
+
+// ---------- the proc id the allocation fast path reads ----------
+
+// Every proc a run reaches reads its ExecContext::proc_id next to
+// Rendezvous::cur_proc(): they must agree, and each proc must see its own.
+void exec_proc_id_matches_cur_proc(mp::Platform& p, int procs) {
+  std::atomic<int> mismatches{0};
+  std::atomic<int> seen{0};  // bit per proc id
+  std::atomic<int> checked{0};
+  p.run([&] {
+    auto check = [&] {
+      const mp::cont::ExecContext* ex = mp::cont::current_exec();
+      const int id = p.cur_proc();
+      if (ex == nullptr || id < 0 || ex->proc_id != id) {
+        mismatches.fetch_add(1);
+      } else {
+        seen.fetch_or(1 << id);
+      }
+      checked.fetch_add(1);
+    };
+    if (procs > 1) {
+      callcc<Unit>([&](Cont<Unit> parent) -> Unit {
+        if (!p.try_acquire_proc(std::move(parent), 0)) {
+          ADD_FAILURE() << "second proc unavailable";
+        }
+        check();  // on the original proc
+        p.release_proc();
+      });
+    }
+    check();
+    while (checked.load() < procs) p.work(50);
+  });
+  EXPECT_EQ(checked.load(), procs);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(seen.load(), (1 << procs) - 1);
+}
+
+TEST(ExecProcId, MatchesCurProcOnOneNativeProc) {
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = 1;
+  mp::NativePlatform p(cfg);
+  exec_proc_id_matches_cur_proc(p, 1);
+}
+
+TEST(ExecProcId, MatchesCurProcOnTwoNativeProcs) {
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = 2;
+  mp::NativePlatform p(cfg);
+  exec_proc_id_matches_cur_proc(p, 2);
+}
+
+TEST(ExecProcId, MatchesCurProcOnUni) {
+  mp::UniPlatform p(mp::UniPlatformConfig{});
+  exec_proc_id_matches_cur_proc(p, 1);
+}
+
+TEST(ExecProcId, MatchesCurProcOnSim) {
+  mp::SimPlatformConfig cfg;
+  cfg.machine = mp::sim::sequent_s81(2);
+  mp::SimPlatform p(cfg);
+  exec_proc_id_matches_cur_proc(p, 2);
 }
 
 // ---------- simulator determinism with the new cost knobs ----------
