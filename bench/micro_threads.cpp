@@ -43,6 +43,18 @@ void BM_ForkJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkJoin);
 
+// One clean point: Platform::work on a native proc with nothing pending.
+void BM_SafePoint(benchmark::State& state) {
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = 1;
+  mp::NativePlatform p(cfg);
+  mp::Platform& plat = p;
+  plat.run([&] {
+    for (auto _ : state) plat.work(1);
+  });
+}
+BENCHMARK(BM_SafePoint);
+
 void BM_YieldSelf(benchmark::State& state) {
   mp::NativePlatformConfig cfg;
   cfg.max_procs = 1;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         src + "sim/machine.h"}},
       {"generic: continuations + segments",
        {src + "cont/cont.cpp", src + "cont/cont.h", src + "cont/segment.cpp",
-        src + "cont/segment.h", src + "cont/exec.cpp", src + "cont/exec.h"}},
+        src + "cont/segment.h", src + "cont/exec.h"}},
       {"generic: platform interface + signals",
        {src + "mp/platform.cpp", src + "mp/platform.h"}},
       {"generic: heap + collector",

@@ -296,11 +296,13 @@ std::uint64_t* Heap::alloc_raw(ObjKind kind, std::size_t field_words,
 
 std::uint64_t* Heap::alloc_los(std::size_t words, ObjKind kind,
                                std::span<Value> rooted_args) {
+  // Charge point, before the run exists: on the simulator it is a clean
+  // point where another proc's major may sweep this space, and a run placed
+  // before it would be swept as unmarked.
+  accounting_.charge_los_alloc(LargeObjectSpace::run_pages(words));
   for (int attempt = 0; attempt < 3; attempt++) {
-    std::size_t pages = 0;
-    std::uint64_t* obj = los_.alloc(words, &pages);
+    std::uint64_t* obj = los_.alloc(words);
     if (obj != nullptr) {
-      accounting_.charge_los_alloc(pages);
       MPNJ_METRIC_COUNT_ALWAYS(kGcLargeAllocs, 1);
       MPNJ_METRIC_COUNT_ALWAYS(kGcLosBytesAllocated, words * kWord);
       // The caller writes the initial fields from rooted_args with no store

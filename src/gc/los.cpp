@@ -28,10 +28,8 @@ LargeObjectSpace::~LargeObjectSpace() {
   if (base_ != nullptr) ::munmap(base_, arena_bytes_);
 }
 
-std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words,
-                                       std::size_t* pages_out) {
-  const std::size_t bytes = (kMetaWords + obj_words) * kWordBytes;
-  const std::size_t pages = (bytes + kPageBytes - 1) / kPageBytes;
+std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words) {
+  const std::size_t pages = run_pages(obj_words);
   std::uint32_t page = 0;
   {
     arch::TasGuard guard(lock_);
@@ -50,6 +48,7 @@ std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words,
       free_[i].pages -= static_cast<std::uint32_t>(pages);
     }
     objects_.push_back(page);
+    cycle_top_ = std::max(cycle_top_, page + static_cast<std::uint32_t>(pages));
   }
   used_pages_.fetch_add(pages, std::memory_order_relaxed);
 
@@ -60,7 +59,6 @@ std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words,
   meta->obj_words = obj_words;
   meta->mark.store(0, std::memory_order_relaxed);
   meta->dirty.store(0, std::memory_order_relaxed);
-  if (pages_out != nullptr) *pages_out = pages;
   return reinterpret_cast<std::uint64_t*>(run) + kMetaWords;
 }
 
@@ -98,13 +96,14 @@ LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
   clear_dirty_locked();
   std::vector<std::uint32_t> live;
   live.reserve(objects_.size());
-  std::vector<Extent> freed;
+  std::uint32_t live_top = 0;
   for (const std::uint32_t page : objects_) {
     std::uint64_t* obj = object_at(page);
     Meta* meta = meta_of(obj);
     if (meta->mark.load(std::memory_order_relaxed) != 0) {
       meta->mark.store(0, std::memory_order_relaxed);
       live.push_back(page);
+      live_top = std::max(live_top, page + meta->pages);
       res.objects_live++;
       continue;
     }
@@ -112,21 +111,21 @@ LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
     res.bytes_freed += meta->obj_words * kWordBytes;
     res.pages_freed += meta->pages;
     meta->magic = 0;
-    freed.push_back(Extent{page, meta->pages});
+    free_.push_back(Extent{page, meta->pages});
   }
   objects_.swap(live);
-  // Dead runs are often neighbours (objects allocated together die
-  // together): one madvise per coalesced extent.
-  coalesce(freed);
-  for (const Extent& e : freed) {
-    ::madvise(base_ + std::size_t{e.page} * kPageBytes,
-              std::size_t{e.pages} * kPageBytes, MADV_DONTNEED);
-  }
-  res.extents_released = freed.size();
-  // Merge into the free list and re-coalesce, so fragmentation cannot
-  // accrete across sweeps.
-  free_.insert(free_.end(), freed.begin(), freed.end());
   coalesce(free_);
+  // Everything from the cycle's high-water mark up is free.  Below it the
+  // freed runs stay committed for the next cycle's first-fit reuse; above
+  // it, pages an earlier, larger cycle touched go back to the kernel.
+  const std::uint32_t top = std::max(resident_top_, cycle_top_);
+  if (cycle_top_ < top) {
+    ::madvise(base_ + std::size_t{cycle_top_} * kPageBytes,
+              std::size_t{top - cycle_top_} * kPageBytes, MADV_DONTNEED);
+    res.pages_released = top - cycle_top_;
+  }
+  resident_top_ = cycle_top_;
+  cycle_top_ = live_top;
   used_pages_.fetch_sub(static_cast<std::size_t>(res.pages_freed),
                         std::memory_order_relaxed);
   return res;

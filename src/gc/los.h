@@ -31,10 +31,14 @@
 // the sweep visit only that list, so their cost follows the objects written
 // since the last collection, not every live large object.
 //
-// Sweeping frees every unmarked run, sorts and coalesces the freed runs,
-// and madvises each coalesced extent back to the OS (MADV_DONTNEED) with
-// one call, so peak RSS tracks live large objects, not the arena
-// reservation; the free list is re-coalesced too.
+// Sweeping frees every unmarked run into the free list (re-coalesced, so
+// fragmentation cannot accrete across sweeps).  Freed runs stay committed:
+// the next cycle's allocations reuse them first-fit, and handing them to the
+// kernel would only fault them straight back in.  The sweep returns to the
+// kernel (MADV_DONTNEED, one call) only the free pages above the highest
+// page in use since the previous sweep, so a workload whose large-object
+// demand falls gives that memory back, and the resident set never exceeds
+// the largest footprint a cycle between two majors reached.
 
 #include <atomic>
 #include <cstdint>
@@ -65,7 +69,7 @@ class LargeObjectSpace {
     std::uint64_t bytes_freed = 0;
     std::uint64_t pages_freed = 0;
     std::uint64_t objects_live = 0;
-    std::uint64_t extents_released = 0;  // madvise calls (coalesced runs)
+    std::uint64_t pages_released = 0;  // handed back to the kernel
   };
 
   LargeObjectSpace() = default;
@@ -76,11 +80,16 @@ class LargeObjectSpace {
   // Reserve an arena of `arena_bytes` (multiple of the page size).
   void init(std::size_t arena_bytes);
 
+  // Length in pages of the run that holds an object of `obj_words`.
+  static std::size_t run_pages(std::size_t obj_words) {
+    const std::size_t bytes = (kMetaWords + obj_words) * sizeof(std::uint64_t);
+    return (bytes + kPageBytes - 1) / kPageBytes;
+  }
+
   // Allocate a run for an object of `obj_words` (header included); returns
   // the object header address, or nullptr when no extent fits (the caller
-  // collects — a major sweeps this space — and retries).  `pages_out`
-  // reports the run length for cost accounting.
-  std::uint64_t* alloc(std::size_t obj_words, std::size_t* pages_out);
+  // collects — a major sweeps this space — and retries).
+  std::uint64_t* alloc(std::size_t obj_words);
 
   bool contains(const void* p) const {
     return p >= base_ && p < base_ + arena_bytes_;
@@ -115,8 +124,8 @@ class LargeObjectSpace {
   // clears the flag of every listed object and empties the list.
   void clear_all_dirty();
 
-  // Post-major: free every unmarked run (madvise the pages away, one call
-  // per coalesced extent), clear all marks on survivors, and empty the
+  // Post-major: free every unmarked run, release the free pages above this
+  // cycle's high-water mark, clear all marks on survivors, and empty the
   // dirty list.
   SweepResult sweep();
 
@@ -169,6 +178,11 @@ class LargeObjectSpace {
   std::vector<std::uint32_t> objects_;  // first page of every live run
   std::vector<std::uint64_t*> dirty_;   // objects whose dirty flag is set
   std::atomic<std::size_t> used_pages_{0};
+  // High-water mark: end of the highest run in use since the previous sweep
+  // (survivors of that sweep included).
+  std::uint32_t cycle_top_ = 0;
+  // Every page at or above this end is released or was never touched.
+  std::uint32_t resident_top_ = 0;
 };
 
 }  // namespace mp::gc

@@ -172,15 +172,18 @@ void Reactor::add_waiter(int fd, Interest interest, threads::Offer o) {
 void Reactor::wait_fd(int fd, Interest interest) {
   MPNJ_METRIC_COUNT(kIoParked, 1);
 #if MPNJ_METRICS
-  const double parked_at = plat_.now_us();
+  const bool timed = metrics::registry().enabled();
+  const double parked_at = timed ? plat_.now_us() : 0;
 #endif
   sched_.suspend([&](threads::ThreadState t) {
     add_waiter(fd, interest, threads::Offer::plain(std::move(t)));
   });
 #if MPNJ_METRICS
-  const double waited = plat_.now_us() - parked_at;
-  MPNJ_METRIC_RECORD(kIoWaitUs,
-                     waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
+  if (timed) {
+    const double waited = plat_.now_us() - parked_at;
+    MPNJ_METRIC_RECORD(kIoWaitUs,
+                       waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
+  }
 #endif
 }
 

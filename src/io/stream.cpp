@@ -107,16 +107,19 @@ class PipeEnd final : public StreamImpl {
       }
       MPNJ_METRIC_COUNT(kIoParked, 1);
 #if MPNJ_METRICS
-      const double parked_at = c.plat.now_us();
+      const bool timed = metrics::registry().enabled();
+      const double parked_at = timed ? c.plat.now_us() : 0;
 #endif
       c.sched.suspend([&](threads::ThreadState t) {
         c.readers.push(threads::Offer::plain(std::move(t)));
         c.plat.unlock(c.lock);
       });
 #if MPNJ_METRICS
-      const double waited = c.plat.now_us() - parked_at;
-      MPNJ_METRIC_RECORD(kIoWaitUs,
-                         waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
+      if (timed) {
+        const double waited = c.plat.now_us() - parked_at;
+        MPNJ_METRIC_RECORD(kIoWaitUs,
+                           waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
+      }
 #endif
       c.plat.lock(c.lock);
     }

@@ -20,11 +20,12 @@ namespace mp::kv {
 
 namespace {
 
-// kv_req_us_*: a reply's time from its batch's submission to being encoded.
+// kv_req_us_*: a reply's time from its batch's submission to being encoded;
+// a batch submitted while the registry was off has no stamp and is skipped.
 void record_req_us([[maybe_unused]] Platform& plat, [[maybe_unused]] Op op,
                    [[maybe_unused]] double submit_us) {
 #if MPNJ_METRICS
-  if (!metrics::registry().enabled()) return;
+  if (!metrics::registry().enabled() || submit_us < 0) return;
   metrics::Histo h;
   switch (op) {
     case Op::kGet:   h = metrics::Histo::kKvReqUsGet; break;
@@ -43,7 +44,8 @@ struct Slot {
   bool ready = false;
   std::string out;
   // RANGE: per-shard slices still to come, the sorted merge of those that
-  // arrived, and the earliest submission among their batches.
+  // arrived, and the earliest submission among their batches (negative when
+  // one of them has no stamp).
   int slices_left = 0;
   std::vector<std::pair<std::string, std::string>> merged;
   double submit_us = std::numeric_limits<double>::infinity();

@@ -105,7 +105,8 @@ void KvService::submit(int shard, KvBatch* b) {
   MPNJ_CHECK(shard >= 0 && shard < shards(), "kv shard index out of range");
   MPNJ_CHECK(b->reply != nullptr, "kv batch has no reply mailbox");
 #if MPNJ_METRICS
-  b->submit_us = sched_.platform().now_us();
+  b->submit_us =
+      metrics::registry().enabled() ? sched_.platform().now_us() : -1;
 #endif
   shards_[static_cast<std::size_t>(shard)].ch->send(
       reinterpret_cast<std::uint64_t>(b));
@@ -144,7 +145,7 @@ void KvService::shard_loop(int idx) {
       return;
     }
 #if MPNJ_METRICS
-    if (metrics::registry().enabled()) {
+    if (metrics::registry().enabled() && b->submit_us >= 0) {
       // Every request in the batch waited from the batch's submission.
       const double waited = sched_.platform().now_us() - b->submit_us;
       const auto us = waited > 0 ? static_cast<std::uint64_t>(waited) : 0;

@@ -65,7 +65,9 @@ struct KvBatch {
   // parked by one connection whose writer has stalled — replies to other
   // connections keep flowing.
   cml::Mailbox<std::uint64_t>* reply = nullptr;
-  double submit_us = 0;  // platform clock at submission (latency metrics)
+  // Platform clock at submission, for the latency metrics; negative when
+  // the registry was off then, and the metrics skip the batch.
+  double submit_us = -1;
 };
 
 struct ShardStats {

@@ -27,7 +27,7 @@ NativeLockCell& cell_of(const MutexLock& l) {
 }  // namespace
 
 NativePlatform::NativePlatform(NativePlatformConfig config)
-    : cfg_(std::move(config)) {
+    : Platform(/*charges_work=*/false), cfg_(std::move(config)) {
   if (cfg_.max_procs <= 0) {
     cfg_.max_procs =
         std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -58,15 +58,6 @@ NativePlatform::~NativePlatform() {
 
 // ----- identity -----
 
-namespace {
-thread_local ProcRec* tl_proc = nullptr;
-}
-
-ProcRec& NativePlatform::self() {
-  MPNJ_CHECK(tl_proc != nullptr, "MP operation outside a proc");
-  return *tl_proc;
-}
-
 void NativePlatform::for_each_proc(const std::function<void(ProcRec&)>& fn) {
   for (auto& p : procs_) fn(*p);
 }
@@ -84,7 +75,6 @@ int NativePlatform::active_procs() const {
 // ----- proc lifecycle -----
 
 void NativePlatform::proc_loop(NProc& p) {
-  tl_proc = &p;
   cont::set_current_exec(&p.exec);
   metrics::Registry::bind_slot(p.id);
   for (;;) {
@@ -108,7 +98,6 @@ void NativePlatform::proc_loop(NProc& p) {
     pool_cv_.notify_all();  // run() may be waiting for quiescence
     gc_cv_.notify_all();    // a collector may be waiting on our transition
   }
-  tl_proc = nullptr;
   cont::set_current_exec(nullptr);
 }
 
@@ -229,22 +218,16 @@ void NativePlatform::unlock(const MutexLock& l) { cell_of(l).word.clear(); }
 
 // ----- time / work -----
 
-void NativePlatform::work(double instructions) {
-  (void)instructions;  // real hardware: the computation itself is the cost
-  safe_point();
-}
-
 double NativePlatform::now_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
 }
 
-void NativePlatform::safe_point() {
-  NProc& p = static_cast<NProc&>(self());
+void NativePlatform::poll_slow(ProcRec& p) {
   if (world_stop_.load(std::memory_order_acquire) &&
       collector_.load(std::memory_order_acquire) != p.id) {
-    park_for_gc(p);
+    park_for_gc(static_cast<NProc&>(p));
   }
   deliver_pending_signals(p);
 }
@@ -393,7 +376,8 @@ void NativePlatform::rendezvous_and_work(const gc::WorkerFn& work) {
 }
 
 int NativePlatform::cur_proc() {
-  return tl_proc != nullptr ? tl_proc->id : -1;
+  const cont::ExecContext* ex = cont::current_exec();
+  return ex != nullptr ? ex->proc_id : -1;
 }
 
 int NativePlatform::nproc() { return cfg_.max_procs; }

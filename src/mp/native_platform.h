@@ -40,9 +40,7 @@ class NativePlatform final : public Platform {
   bool try_lock(const MutexLock& l) override;
   void lock(const MutexLock& l) override;
   void unlock(const MutexLock& l) override;
-  void work(double instructions) override;
   double now_us() override;
-  void safe_point() override;
   void idle_wait(double max_us) override;
   void park_proc(double max_us) override;
   void unpark_proc(int proc_id) override;
@@ -66,7 +64,7 @@ class NativePlatform final : public Platform {
   void charge_los_sweep(std::uint64_t pages) override;
 
  protected:
-  ProcRec& self() override;
+  void poll_slow(ProcRec& p) override;
   void for_each_proc(const std::function<void(ProcRec&)>& fn) override;
   bool backend_acquire(cont::ContRef k, Datum datum) override;
   [[noreturn]] void backend_release() override;
@@ -100,8 +98,7 @@ class NativePlatform final : public Platform {
   std::mutex pool_mutex_;
   std::condition_variable pool_cv_;
 
-  // GC rendezvous.
-  std::atomic<bool> world_stop_{false};
+  // GC rendezvous (the stop word itself is Platform::world_stop_).
   std::atomic<int> collector_{-1};
   std::mutex gc_mutex_;
   std::condition_variable gc_cv_;

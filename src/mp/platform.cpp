@@ -4,12 +4,6 @@
 
 namespace mp {
 
-namespace {
-
-std::uint32_t sig_bit(Sig s) { return 1u << static_cast<int>(s); }
-
-}  // namespace
-
 bool Platform::try_acquire_proc(cont::Cont<cont::Unit> k, Datum datum) {
   MPNJ_CHECK(k.valid(), "acquire_proc with an invalid continuation");
   // Deliver the unit value now: on success the new proc fires the
@@ -32,14 +26,6 @@ void Platform::release_proc() {
 void Platform::set_signal_handler(Sig s, std::function<void()> handler) {
   arch::TasGuard guard(handler_lock_);
   handlers_[static_cast<int>(s)] = std::move(handler);
-}
-
-void Platform::mask_signal(Sig s) { self().sig_mask |= sig_bit(s); }
-
-void Platform::unmask_signal(Sig s) { self().sig_mask &= ~sig_bit(s); }
-
-bool Platform::signal_masked(Sig s) {
-  return (self().sig_mask & sig_bit(s)) != 0;
 }
 
 void Platform::post_signal_to(ProcRec& p, Sig s) {

@@ -1,11 +1,14 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <type_traits>
 
+#include "arch/panic.h"
 #include "arch/rng.h"
 #include "arch/tas.h"
 #include "cont/cont.h"
@@ -80,13 +83,17 @@ inline constexpr int kNumSignals = 3;
 
 // State of one proc, shared between the generic layer and the backends.
 struct ProcRec {
+  // First member of a standard-layout struct: the executing proc's record is
+  // its ExecContext (cont::current_exec(), one thread-local load) cast back.
+  cont::ExecContext exec;
   int id = -1;
   Datum datum = 0;
-  cont::ExecContext exec;
   std::uint32_t sig_mask = 0;               // per-proc signal mask
   std::atomic<std::uint32_t> sig_pending{0};  // posted, not yet delivered
   bool active = false;  // currently holding a processor for a client
 };
+static_assert(std::is_standard_layout_v<ProcRec> &&
+              offsetof(ProcRec, exec) == 0);
 
 // Every backend implements both halves of the collector-facing API: the
 // gc::Rendezvous stop-the-world / worker-routing protocol and the
@@ -134,11 +141,23 @@ class Platform : public gc::Rendezvous, public gc::Accounting {
   // Account `instructions` of client computation.  On the simulator this
   // advances virtual time (and is a safe point); on native hardware the
   // computation itself is the cost and this is a plain safe point.
-  virtual void work(double instructions) = 0;
+  void work(double instructions) {
+    if (charges_work_) {
+      charge_work(instructions);
+    } else {
+      poll();
+    }
+  }
   virtual double now_us() = 0;
   // GC poll + signal delivery point.  Runtime operations call this; any
   // Value not held in a Roots frame is invalid across it.
-  virtual void safe_point() = 0;
+  void safe_point() {
+    if (charges_work_) {
+      charged_safe_point();
+    } else {
+      poll();
+    }
+  }
   // Brackets a scheduler's "no work available, polling" loop so the
   // simulator accounts the time as processor idle time (paper section 6
   // reports idle rates; native backend ignores the hint).
@@ -180,9 +199,9 @@ class Platform : public gc::Rendezvous, public gc::Accounting {
   // ---- Signals (paper section 3.4) ----
 
   void set_signal_handler(Sig s, std::function<void()> handler);
-  void mask_signal(Sig s);
-  void unmask_signal(Sig s);
-  bool signal_masked(Sig s);
+  void mask_signal(Sig s) { self().sig_mask |= sig_bit(s); }
+  void unmask_signal(Sig s) { self().sig_mask &= ~sig_bit(s); }
+  bool signal_masked(Sig s) { return (self().sig_mask & sig_bit(s)) != 0; }
   // Deliver `s` to every proc at its next safe point.
   void post_signal(Sig s);
   // Hook run whenever the platform needs every proc to reach a safe point
@@ -209,7 +228,11 @@ class Platform : public gc::Rendezvous, public gc::Accounting {
   bool done() const { return done_.load(std::memory_order_acquire); }
 
  protected:
-  Platform() = default;
+  // A backend whose work costs nothing beyond the computation itself
+  // (native, uni) passes false: its work() and safe_point() are the inline
+  // poll.  The simulator passes true and prices them in charge_work and
+  // charged_safe_point.
+  explicit Platform(bool charges_work) : charges_work_(charges_work) {}
   void init_heap(const gc::HeapConfig& config) {
     heap_ = std::make_unique<gc::Heap>(config, *this, *this);
   }
@@ -221,7 +244,33 @@ class Platform : public gc::Rendezvous, public gc::Accounting {
     cont::SegmentPool::instance().configure(config);
   }
 
-  virtual ProcRec& self() = 0;
+  // The executing proc's record.
+  ProcRec& self() {
+    cont::ExecContext* ex = cont::current_exec();
+    MPNJ_CHECK(ex != nullptr && ex->proc_id >= 0,
+               "MP operation outside a proc");
+    return *reinterpret_cast<ProcRec*>(ex);
+  }
+  // The clean point of a backend that does not charge work: read the stop
+  // word and the proc's unmasked pending signals, and leave the inline path
+  // only when one of them is set.
+  void poll() {
+    ProcRec& p = self();
+    if (world_stop_.load(std::memory_order_acquire) ||
+        (p.sig_pending.load(std::memory_order_acquire) & ~p.sig_mask) != 0)
+        [[unlikely]] {
+      poll_slow(p);
+    }
+  }
+  // The poll's out-of-line half; the default delivers pending signals.  A
+  // backend that stops the world parks here first.
+  virtual void poll_slow(ProcRec& p) { deliver_pending_signals(p); }
+  // The charging backend's work() and safe_point().
+  virtual void charge_work(double instructions) {
+    (void)instructions;
+    poll();
+  }
+  virtual void charged_safe_point() { poll(); }
   virtual void for_each_proc(const std::function<void(ProcRec&)>& fn) = 0;
   virtual bool backend_acquire(cont::ContRef k, Datum datum) = 0;
   [[noreturn]] virtual void backend_release() = 0;
@@ -237,8 +286,14 @@ class Platform : public gc::Rendezvous, public gc::Accounting {
   void run_wake_hook();
 
   std::atomic<bool> done_{false};
+  // Set while a collector stops the world; every poll reads it.  Only the
+  // native backend sets it (uni never stops, the simulator's engine parks).
+  std::atomic<bool> world_stop_{false};
 
  private:
+  static std::uint32_t sig_bit(Sig s) { return 1u << static_cast<int>(s); }
+
+  const bool charges_work_;
   std::function<void()> handlers_[kNumSignals];
   arch::TasWord handler_lock_;
   std::atomic<std::shared_ptr<const std::function<void()>>> wake_hook_;

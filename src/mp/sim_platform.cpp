@@ -33,7 +33,8 @@ inline void fuzz_jitter(sim::Engine& eng, fuzz::Kind k) {
 
 }  // namespace
 
-SimPlatform::SimPlatform(SimPlatformConfig config) : cfg_(std::move(config)) {
+SimPlatform::SimPlatform(SimPlatformConfig config)
+    : Platform(/*charges_work=*/true), cfg_(std::move(config)) {
   engine_ = std::make_unique<sim::Engine>(
       cfg_.machine, [this](int id) { proc_main(id); });
   procs_.reserve(static_cast<std::size_t>(cfg_.machine.num_procs));
@@ -159,12 +160,6 @@ void SimPlatform::backend_run(cont::ContRef root, Datum root_datum) {
 
 // ----- identity -----
 
-ProcRec& SimPlatform::self() {
-  const int id = engine_->current();
-  MPNJ_CHECK(id >= 0, "MP operation outside a running proc");
-  return *procs_[static_cast<std::size_t>(id)];
-}
-
 void SimPlatform::for_each_proc(const std::function<void(ProcRec&)>& fn) {
   for (auto& p : procs_) fn(*p);
 }
@@ -250,14 +245,14 @@ void SimPlatform::unlock(const MutexLock& l) {
 
 // ----- time / work -----
 
-void SimPlatform::work(double instructions) {
+void SimPlatform::charge_work(double instructions) {
   engine_->charge_instr(instructions);
   deliver_pending_signals(self());
 }
 
 double SimPlatform::now_us() { return engine_->now(); }
 
-void SimPlatform::safe_point() {
+void SimPlatform::charged_safe_point() {
   engine_->safe_point();
   deliver_pending_signals(self());
 }

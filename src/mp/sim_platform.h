@@ -62,9 +62,7 @@ class SimPlatform final : public Platform {
   bool try_lock(const MutexLock& l) override;
   void lock(const MutexLock& l) override;
   void unlock(const MutexLock& l) override;
-  void work(double instructions) override;
   double now_us() override;
-  void safe_point() override;
   void begin_idle_poll() override;
   void end_idle_poll() override;
   void idle_wait(double max_us) override;
@@ -99,7 +97,8 @@ class SimPlatform final : public Platform {
   SimReport report() const;
 
  protected:
-  ProcRec& self() override;
+  void charge_work(double instructions) override;
+  void charged_safe_point() override;
   void for_each_proc(const std::function<void(ProcRec&)>& fn) override;
   bool backend_acquire(cont::ContRef k, Datum datum) override;
   [[noreturn]] void backend_release() override;

@@ -22,7 +22,8 @@ UniLockCell& cell_of(const MutexLock& l) {
 
 }  // namespace
 
-UniPlatform::UniPlatform(UniPlatformConfig config) {
+UniPlatform::UniPlatform(UniPlatformConfig config)
+    : Platform(/*charges_work=*/false) {
   proc_.id = 0;
   proc_.exec.proc_id = 0;
   rng_.reseed(config.seed);
@@ -35,11 +36,6 @@ UniPlatform::UniPlatform(UniPlatformConfig config) {
 UniPlatform::~UniPlatform() {
   ticker_stop_.store(true);
   if (ticker_.joinable()) ticker_.join();
-}
-
-ProcRec& UniPlatform::self() {
-  MPNJ_CHECK(running_, "MP operation outside the proc");
-  return proc_;
 }
 
 void UniPlatform::for_each_proc(const std::function<void(ProcRec&)>& fn) {
@@ -105,15 +101,11 @@ void UniPlatform::lock(const MutexLock& l) {
 
 void UniPlatform::unlock(const MutexLock& l) { cell_of(l).held = false; }
 
-void UniPlatform::work(double) { safe_point(); }
-
 double UniPlatform::now_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
 }
-
-void UniPlatform::safe_point() { deliver_pending_signals(proc_); }
 
 void UniPlatform::idle_wait(double max_us) {
   safe_point();

@@ -36,9 +36,7 @@ class UniPlatform final : public Platform {
   bool try_lock(const MutexLock& l) override;
   void lock(const MutexLock& l) override;
   void unlock(const MutexLock& l) override;
-  void work(double instructions) override;
   double now_us() override;
-  void safe_point() override;
   void idle_wait(double max_us) override;
   arch::Rng& rng() override { return rng_; }
   void set_preempt_interval(double us) override;
@@ -61,7 +59,6 @@ class UniPlatform final : public Platform {
   void charge_los_sweep(std::uint64_t) override {}
 
  protected:
-  ProcRec& self() override;
   void for_each_proc(const std::function<void(ProcRec&)>& fn) override;
   bool backend_acquire(cont::ContRef k, Datum datum) override;
   [[noreturn]] void backend_release() override;

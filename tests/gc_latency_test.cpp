@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -291,28 +293,50 @@ TEST_P(GcLatencyRemsetTest, LosBornCleanUnlessAnInitialValueIsYoung) {
   los_born_clean_unless_young();
 }
 
-// Sweeping releases dead runs one coalesced extent at a time.  Three
+using mp::gc::LargeObjectSpace;
+constexpr std::size_t kPageWords = LargeObjectSpace::kPageBytes / 8;
+// Object sizes (header included) that fill runs of exactly 2 and 4 pages.
+constexpr std::size_t kTwoPages = 2 * kPageWords - LargeObjectSpace::kMetaWords;
+constexpr std::size_t kFourPages =
+    4 * kPageWords - LargeObjectSpace::kMetaWords;
+
+// Allocates `n` two-page runs into `obj`, back to back from the arena's
+// lowest free page, and writes every word of each so its pages are resident.
+void alloc_touched_two_page_runs(LargeObjectSpace& los, std::uint64_t** obj,
+                                 int n) {
+  ASSERT_EQ(LargeObjectSpace::run_pages(kTwoPages), 2u);
+  for (int i = 0; i < n; i++) {
+    obj[i] = los.alloc(kTwoPages);
+    ASSERT_NE(obj[i], nullptr);
+    if (i > 0) {
+      ASSERT_EQ(obj[i], obj[i - 1] + 2 * kPageWords);
+    }
+    for (std::size_t w = 0; w < kTwoPages; w++) obj[i][w] = w;
+  }
+}
+
+// How many of the `pages` pages starting at the run that holds `obj` are
+// resident, by mincore(2).
+std::size_t resident_pages(const std::uint64_t* obj, std::size_t pages) {
+  void* run = const_cast<std::uint64_t*>(obj - LargeObjectSpace::kMetaWords);
+  std::vector<unsigned char> vec(pages);
+  EXPECT_EQ(::mincore(run, pages * LargeObjectSpace::kPageBytes, vec.data()),
+            0);
+  std::size_t n = 0;
+  for (const unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+// Sweeping frees dead runs into one coalesced free extent per gap.  Three
 // adjacent dead runs become one free extent: a re-allocation of the same
 // size reuses its lowest page, and a run twice that size fits in the rest.
+// Every dead run lies below the high-water mark, so nothing is released.
 // The sweep also empties the dirty list before it frees anything.
 TEST(GcLosSweep, AdjacentDeadRunsCoalesceIntoOneExtent) {
-  using mp::gc::LargeObjectSpace;
-  constexpr std::size_t kPageWords = LargeObjectSpace::kPageBytes / 8;
-  // Object sizes (header included) that fill runs of exactly 2 and 4 pages.
-  constexpr std::size_t kTwoPages =
-      2 * kPageWords - LargeObjectSpace::kMetaWords;
-  constexpr std::size_t kFourPages =
-      4 * kPageWords - LargeObjectSpace::kMetaWords;
   LargeObjectSpace los;
   los.init(64 * LargeObjectSpace::kPageBytes);
   std::uint64_t* obj[6];
-  for (std::uint64_t*& o : obj) {
-    std::size_t pages = 0;
-    o = los.alloc(kTwoPages, &pages);
-    ASSERT_NE(o, nullptr);
-    ASSERT_EQ(pages, 2u);
-  }
-  for (int i = 1; i < 6; i++) ASSERT_EQ(obj[i], obj[i - 1] + 2 * kPageWords);
+  alloc_touched_two_page_runs(los, obj, 6);
 
   // obj[1..3] die together, obj[5] dies next to the arena's free tail;
   // obj[0] and obj[4] survive.  A dying and a surviving object are listed.
@@ -325,15 +349,56 @@ TEST(GcLosSweep, AdjacentDeadRunsCoalesceIntoOneExtent) {
   EXPECT_EQ(sw.objects_freed, 4u);
   EXPECT_EQ(sw.objects_live, 2u);
   EXPECT_EQ(sw.pages_freed, 8u);
-  EXPECT_EQ(sw.extents_released, 2u);
+  EXPECT_EQ(sw.pages_released, 0u);
   EXPECT_EQ(los.used_bytes(), used - 8 * LargeObjectSpace::kPageBytes);
   int listed = 0;
   los.for_each_dirty([&](std::uint64_t*) { listed++; });
   EXPECT_EQ(listed, 0);
   EXPECT_EQ(LargeObjectSpace::meta_of(obj[0])->dirty.load(), 0);
 
-  EXPECT_EQ(los.alloc(kTwoPages, nullptr), obj[1]);
-  EXPECT_EQ(los.alloc(kFourPages, nullptr), obj[2]);
+  EXPECT_EQ(los.alloc(kTwoPages), obj[1]);
+  EXPECT_EQ(los.alloc(kFourPages), obj[2]);
+}
+
+// Runs a sweep frees stay committed: the next cycle's allocations of the
+// same size land on them and find them resident, with no page fault.
+TEST(GcLosSweep, FreedRunsStayResidentForReuse) {
+  LargeObjectSpace los;
+  los.init(64 * LargeObjectSpace::kPageBytes);
+  std::uint64_t* obj[8];
+  alloc_touched_two_page_runs(los, obj, 8);
+  ASSERT_TRUE(LargeObjectSpace::try_mark(obj[7]));  // the top run survives
+  const LargeObjectSpace::SweepResult sw = los.sweep();
+  EXPECT_EQ(sw.objects_freed, 7u);
+  EXPECT_EQ(sw.pages_released, 0u);
+  EXPECT_EQ(resident_pages(obj[0], 14), 14u);
+  for (int i = 0; i < 7; i++) EXPECT_EQ(los.alloc(kTwoPages), obj[i]);
+  EXPECT_EQ(resident_pages(obj[0], 16), 16u);
+}
+
+// When a cycle's large-object demand falls, the sweep that ends it hands
+// back the pages above that cycle's high-water mark, which an earlier and
+// larger cycle had touched; the pages below it stay resident.
+TEST(GcLosSweep, PagesAboveAFallenHighWaterMarkAreReleased) {
+  LargeObjectSpace los;
+  los.init(64 * LargeObjectSpace::kPageBytes);
+  std::uint64_t* big[8];
+  alloc_touched_two_page_runs(los, big, 8);  // pages 0-15
+  EXPECT_EQ(los.sweep().pages_released, 0u);  // all died, none above the mark
+  EXPECT_EQ(resident_pages(big[0], 16), 16u);
+
+  std::uint64_t* small[2];
+  alloc_touched_two_page_runs(los, small, 2);  // pages 0-3 again
+  ASSERT_EQ(small[0], big[0]);
+  const LargeObjectSpace::SweepResult sw = los.sweep();
+  EXPECT_EQ(sw.pages_released, 12u);
+  EXPECT_EQ(resident_pages(big[0], 4), 4u);
+  EXPECT_EQ(resident_pages(big[2], 12), 0u);
+
+  // The next sweep has nothing above its mark left to release.
+  alloc_touched_two_page_runs(los, small, 2);
+  EXPECT_EQ(los.sweep().pages_released, 0u);
+  EXPECT_EQ(resident_pages(big[0], 4), 4u);
 }
 
 void GcLatencyTest::los_sweep_frees_unreachable_runs() {
@@ -494,6 +559,49 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GcLatencyListBackendTest,
                          ::testing::Values(Backend::kSim, Backend::kNative,
                                            Backend::kUni),
                          backend_name);
+
+// A large allocation's charge is a clean point on the simulator, where the
+// other proc may run a major.  One proc forces majors back to back while
+// the other allocates 600-word arrays and keeps the last four rooted: a run
+// placed before that clean point would be swept as unmarked, re-used by a
+// later array, and found overwritten here.
+TEST(GcLosRace, SimMajorAtTheLargeAllocationChargeKeepsTheNewRun) {
+  constexpr int kArrays = 1000;
+  constexpr std::size_t kWords = 600;
+  mp::SimPlatformConfig cfg;
+  cfg.machine = mp::sim::sequent_s81(2);
+  cfg.heap.with_nursery_bytes(128 * 1024).with_old_bytes(2u << 20);
+  mp::SimPlatform p(cfg);
+  std::atomic<bool> allocating{true};
+  int checks = 0;
+  int overwritten = 0;
+  p.run([&] {
+    Heap& h = p.heap();
+    callcc<Unit>([&](Cont<Unit> parent) -> Unit {
+      p.acquire_proc(parent, 0);
+      while (allocating.load()) h.collect_now(/*force_major=*/true);
+      p.release_proc();
+    });
+    Roots<4> kept;
+    for (int i = 0; i < kArrays; i++) {
+      kept[i % 4] = h.alloc_array(kWords, Value::from_int(i));
+      for (int k = 0; k < 4 && k <= i; k++) {
+        const int tag = i - ((i - k) % 4 + 4) % 4;
+        const Value a = kept[k];
+        bool intact = a.length() == kWords;
+        for (std::size_t f = 0; intact && f < kWords; f++) {
+          intact = a.field(f).as_int() == tag;
+        }
+        checks++;
+        if (!intact) overwritten++;
+      }
+    }
+    allocating.store(false);
+  });
+  EXPECT_EQ(checks, 4 * kArrays - 6);
+  EXPECT_EQ(overwritten, 0);
+  EXPECT_GT(p.heap().stats().major_gcs, 10u);
+}
 
 // ---------- parallel promotion under real procs ----------
 

@@ -717,6 +717,48 @@ TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
 }
 
 #if MPNJ_METRICS
+// A batch submitted while the registry is off carries no clock stamp, and
+// the shard's queue-wait histogram skips it even when the registry has been
+// switched on by the time the shard dequeues it; a batch submitted with the
+// registry on is recorded.  On one simulated proc the shard runs only once
+// the submitter parks, after the switch.
+TEST(KvService, QueueWaitSkipsABatchSubmittedWhileTheRegistryWasOff) {
+  auto& reg = mp::metrics::registry();
+  const bool was_enabled = reg.enabled();
+  auto p = sim_platform(1);
+  std::uint64_t skipped = 0;
+  std::uint64_t recorded = 0;
+  run_threads(*p, [&](Scheduler& sched) {
+    KvConfig cfg;
+    cfg.shards = 1;
+    KvService svc(sched, cfg);
+    svc.start();
+    mp::cml::Mailbox<std::uint64_t> back(sched);
+    auto set_once = [&](const char* key, bool on_at_submit) {
+      KvBatch b;
+      b.reqs.resize(1);
+      b.reqs[0].req.op = Op::kSet;
+      b.reqs[0].req.key = key;
+      b.reqs[0].req.value = "v";
+      b.reply = &back;
+      const auto before =
+          reg.snapshot().histo(mp::metrics::Histo::kKvQueueUsSet).count;
+      reg.set_enabled(on_at_submit);
+      svc.submit(0, &b);
+      reg.set_enabled(true);
+      EXPECT_EQ(reinterpret_cast<KvBatch*>(back.recv()), &b);
+      return reg.snapshot().histo(mp::metrics::Histo::kKvQueueUsSet).count -
+             before;
+    };
+    skipped = set_once("off", false);
+    recorded = set_once("on", true);
+    svc.stop();
+  });
+  reg.set_enabled(was_enabled);
+  EXPECT_EQ(skipped, 0u);
+  EXPECT_EQ(recorded, 1u);
+}
+
 TEST(KvServe, OneReadOfPointOpsIsOneShardRendezvous) {
   // The reader hands everything one read delivered to a shard as a single
   // batch: 32 pipelined point ops that arrive together cross the shard

@@ -1,19 +1,28 @@
 // Tests of the MP platform API (paper Figure 2) run against BOTH backends:
 // the deterministic simulator and real kernel threads.  The client code is
 // identical for the two — which is itself the paper's portability claim.
+// The clean-point tests that need one proc only run on the uniprocessor too.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "arch/tas.h"
 #include "cont/cont.h"
 #include "gc/roots.h"
 #include "mp/native_platform.h"
 #include "mp/platform.h"
 #include "mp/sim_platform.h"
+#include "mp/uni_platform.h"
 
 namespace {
 
@@ -25,29 +34,80 @@ using mp::cont::Unit;
 using mp::gc::Roots;
 using mp::gc::Value;
 
-enum class Backend { kSim, kNative };
+enum class Backend { kSim, kNative, kUni };
 
 std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
-  return info.param == Backend::kSim ? "Sim" : "Native";
+  switch (info.param) {
+    case Backend::kSim: return "Sim";
+    case Backend::kNative: return "Native";
+    case Backend::kUni: return "Uni";
+  }
+  return "?";
 }
 
 class PlatformTest : public ::testing::TestWithParam<Backend> {
  protected:
   std::unique_ptr<mp::Platform> make(int procs, double preempt_us = 0,
                                      std::size_t nursery = 256 * 1024) {
-    if (GetParam() == Backend::kSim) {
-      mp::SimPlatformConfig cfg;
-      cfg.machine = mp::sim::sequent_s81(procs);
-      cfg.preempt_interval_us = preempt_us;
-      cfg.heap.nursery_bytes = nursery;
-      return std::make_unique<mp::SimPlatform>(cfg);
+    switch (GetParam()) {
+      case Backend::kSim: {
+        mp::SimPlatformConfig cfg;
+        cfg.machine = mp::sim::sequent_s81(procs);
+        cfg.preempt_interval_us = preempt_us;
+        cfg.heap.nursery_bytes = nursery;
+        return std::make_unique<mp::SimPlatform>(cfg);
+      }
+      case Backend::kNative: {
+        mp::NativePlatformConfig cfg;
+        cfg.max_procs = procs;
+        cfg.preempt_interval_us = preempt_us;
+        cfg.heap.nursery_bytes = nursery;
+        return std::make_unique<mp::NativePlatform>(cfg);
+      }
+      case Backend::kUni: {
+        EXPECT_EQ(procs, 1) << "the uniprocessor has one proc";
+        mp::UniPlatformConfig cfg;
+        cfg.preempt_interval_us = preempt_us;
+        cfg.heap.nursery_bytes = nursery;
+        return std::make_unique<mp::UniPlatform>(cfg);
+      }
     }
-    mp::NativePlatformConfig cfg;
-    cfg.max_procs = procs;
-    cfg.preempt_interval_us = preempt_us;
-    cfg.heap.nursery_bytes = nursery;
-    return std::make_unique<mp::NativePlatform>(cfg);
+    __builtin_unreachable();
   }
+};
+
+// The one-proc tests again on the uniprocessor (UniPlatform), whose clean
+// point is the same inline poll as the native backend's.
+class OneProcTest : public PlatformTest {};
+
+// Aborts the test binary unless disarmed within `limit`: a test whose
+// failure is a hang (a collector waiting forever for a proc) fails instead.
+class Watchdog {
+ public:
+  Watchdog(std::chrono::seconds limit, const char* what)
+      : thread_([this, limit, what] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, limit, [this] { return disarmed_; })) {
+            std::fprintf(stderr, "watchdog: %s\n", what);
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      disarmed_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;
+  std::thread thread_;
 };
 
 TEST_P(PlatformTest, RunRootToCompletion) {
@@ -242,8 +302,7 @@ TEST_P(PlatformTest, UnlockByADifferentProc) {
   });
 }
 
-TEST_P(PlatformTest, SignalsDeliveredAtSafePoints) {
-  auto p = make(1);
+void signals_delivered_at_safe_points(std::unique_ptr<mp::Platform> p) {
   int delivered = 0;
   p->run([&] {
     p->set_signal_handler(mp::Sig::kUsr1, [&] { delivered++; });
@@ -255,9 +314,14 @@ TEST_P(PlatformTest, SignalsDeliveredAtSafePoints) {
     EXPECT_EQ(delivered, 1) << "a signal is consumed by its delivery";
   });
 }
+TEST_P(PlatformTest, SignalsDeliveredAtSafePoints) {
+  signals_delivered_at_safe_points(make(1));
+}
+TEST_P(OneProcTest, SignalsDeliveredAtSafePoints) {
+  signals_delivered_at_safe_points(make(1));
+}
 
-TEST_P(PlatformTest, MaskedSignalsAreHeldPending) {
-  auto p = make(1);
+void masked_signals_are_held_pending(std::unique_ptr<mp::Platform> p) {
   int delivered = 0;
   p->run([&] {
     p->set_signal_handler(mp::Sig::kUsr2, [&] { delivered++; });
@@ -269,6 +333,12 @@ TEST_P(PlatformTest, MaskedSignalsAreHeldPending) {
     p->safe_point();
     EXPECT_EQ(delivered, 1);
   });
+}
+TEST_P(PlatformTest, MaskedSignalsAreHeldPending) {
+  masked_signals_are_held_pending(make(1));
+}
+TEST_P(OneProcTest, MaskedSignalsAreHeldPending) {
+  masked_signals_are_held_pending(make(1));
 }
 
 TEST_P(PlatformTest, HeapAllocationAndCollectionAcrossProcs) {
@@ -304,8 +374,7 @@ TEST_P(PlatformTest, HeapAllocationAndCollectionAcrossProcs) {
   });
 }
 
-TEST_P(PlatformTest, PreemptionSignalFires) {
-  auto p = make(1, /*preempt_us=*/500);
+void preemption_signal_fires(std::unique_ptr<mp::Platform> p) {
   int preempts = 0;
   p->run([&] {
     p->set_signal_handler(mp::Sig::kPreempt, [&] { preempts++; });
@@ -315,10 +384,81 @@ TEST_P(PlatformTest, PreemptionSignalFires) {
   });
   EXPECT_GT(preempts, 0);
 }
+TEST_P(PlatformTest, PreemptionSignalFires) {
+  preemption_signal_fires(make(1, /*preempt_us=*/500));
+}
+TEST_P(OneProcTest, PreemptionSignalFires) {
+  preemption_signal_fires(make(1, /*preempt_us=*/500));
+}
+
+// A signal posted by a thread that is no proc (as the preemption ticker
+// is) is consumed at the target proc's next work(), with nothing else
+// happening in between.
+void signal_from_a_plain_thread(std::unique_ptr<mp::Platform> p) {
+  int delivered = 0;
+  p->run([&] {
+    p->set_signal_handler(mp::Sig::kUsr1, [&] { delivered++; });
+    std::atomic<bool> posted{false};
+    std::thread poster([&] {
+      p->post_signal(mp::Sig::kUsr1);
+      posted.store(true, std::memory_order_release);
+    });
+    while (!posted.load(std::memory_order_acquire)) mp::arch::cpu_relax();
+    poster.join();
+    EXPECT_EQ(delivered, 0);
+    p->work(1);
+    EXPECT_EQ(delivered, 1);
+  });
+}
+TEST_P(PlatformTest, SignalFromAPlainThreadIsConsumedAtTheNextWork) {
+  signal_from_a_plain_thread(make(1));
+}
+TEST_P(OneProcTest, SignalFromAPlainThreadIsConsumedAtTheNextWork) {
+  signal_from_a_plain_thread(make(1));
+}
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlatformTest,
                          ::testing::Values(Backend::kSim, Backend::kNative),
                          backend_name);
+INSTANTIATE_TEST_SUITE_P(Backends, OneProcTest,
+                         ::testing::Values(Backend::kUni), backend_name);
+
+// ---------- native-specific behaviour ----------
+
+// A proc that only computes reaches no clean point but work(): its inline
+// poll must park it for every collection the other proc starts, or that
+// collection waits forever.
+TEST(NativePlatform, WorkOnlyProcJoinsEveryCollection) {
+  mp::NativePlatformConfig cfg;
+  cfg.max_procs = 2;
+  cfg.heap.nursery_bytes = 64 * 1024;
+  mp::NativePlatform p(cfg);
+  const Watchdog dog(std::chrono::seconds(60),
+                     "a collection waited for a proc in a work() loop");
+  std::atomic<bool> computing{false};
+  std::atomic<bool> allocating{true};
+  std::uint64_t minors = 0;
+  p.run([&] {
+    callcc<Unit>([&](Cont<Unit> parent) -> Unit {
+      p.acquire_proc(parent, 0);
+      computing.store(true);
+      while (allocating.load(std::memory_order_acquire)) p.work(1);
+      p.release_proc();
+    });
+    while (!computing.load()) mp::arch::cpu_relax();
+    auto& h = p.heap();
+    Roots<1> r;
+    while (h.stats().minor_gcs < 50) {
+      r[0] = Value::nil();  // a list of 1000 cells, dropped at the next one
+      for (int i = 0; i < 1000; i++) {
+        r[0] = h.alloc_record({Value::from_int(i), r[0]});
+      }
+    }
+    minors = h.stats().minor_gcs;
+    allocating.store(false, std::memory_order_release);
+  });
+  EXPECT_GE(minors, 50u);
+}
 
 // ---------- simulator-specific behaviour ----------
 
