@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -24,6 +25,25 @@ constexpr std::size_t kWord = kWordBytes;
 constexpr std::size_t kCardBufCap = 64;
 
 bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+// The HeapStats fields that are deltas of registry counters.
+struct StatField {
+  metrics::Counter counter;
+  std::uint64_t HeapStats::*field;
+};
+constexpr StatField kStatFields[] = {
+    {metrics::Counter::kGcMinor, &HeapStats::minor_gcs},
+    {metrics::Counter::kGcMajor, &HeapStats::major_gcs},
+    {metrics::Counter::kGcWordsCopiedMinor, &HeapStats::words_copied_minor},
+    {metrics::Counter::kGcWordsCopiedMajor, &HeapStats::words_copied_major},
+    {metrics::Counter::kGcChunkGrabs, &HeapStats::chunk_grabs},
+    {metrics::Counter::kGcChunkSteals, &HeapStats::chunk_steals},
+    {metrics::Counter::kGcStores, &HeapStats::stores_recorded},
+    {metrics::Counter::kGcLargeAllocs, &HeapStats::large_allocs},
+    {metrics::Counter::kGcCardsDirtied, &HeapStats::cards_dirtied},
+    {metrics::Counter::kGcCardsScanned, &HeapStats::cards_scanned},
+    {metrics::Counter::kGcLosScanned, &HeapStats::los_scanned},
+};
 
 using Clock = std::chrono::steady_clock;
 
@@ -165,7 +185,10 @@ Heap::Heap(const HeapConfig& config, Rendezvous& rendezvous,
   for (std::size_t i = num_chunks_; i > 0; i--) {
     free_chunks_.push_back(static_cast<std::uint32_t>(i - 1));
   }
-  baseline_ = metrics::registry().snapshot();
+  static_assert(std::size(kStatFields) == kStatCounters);
+  for (std::size_t i = 0; i < kStatCounters; i++) {
+    baseline_[i] = metrics::registry().counter(kStatFields[i].counter);
+  }
 }
 
 Heap::~Heap() {
@@ -202,31 +225,18 @@ std::size_t Heap::old_space_used_words() const {
 std::size_t Heap::nursery_free_chunks() const { return free_chunks_.size(); }
 
 HeapStats Heap::stats() const {
-  const metrics::Snapshot now = metrics::registry().snapshot();
-  // Saturating delta: registry().reset() between construction and here would
-  // otherwise wrap.
-  auto delta = [&](metrics::Counter c) -> std::uint64_t {
-    const std::uint64_t cur = now.counter(c);
-    const std::uint64_t base = baseline_.counter(c);
-    return cur >= base ? cur - base : 0;
-  };
-  using metrics::Counter;
   HeapStats s;
   for (const ProcHeap& ph : proc_heaps_) {
     s.allocations += ph.allocs.load(std::memory_order_relaxed);
     s.words_allocated += ph.alloc_words.load(std::memory_order_relaxed);
   }
-  s.minor_gcs = delta(Counter::kGcMinor);
-  s.major_gcs = delta(Counter::kGcMajor);
-  s.words_copied_minor = delta(Counter::kGcWordsCopiedMinor);
-  s.words_copied_major = delta(Counter::kGcWordsCopiedMajor);
-  s.chunk_grabs = delta(Counter::kGcChunkGrabs);
-  s.chunk_steals = delta(Counter::kGcChunkSteals);
-  s.stores_recorded = delta(Counter::kGcStores);
-  s.large_allocs = delta(Counter::kGcLargeAllocs);
-  s.cards_dirtied = delta(Counter::kGcCardsDirtied);
-  s.cards_scanned = delta(Counter::kGcCardsScanned);
-  s.los_scanned = delta(Counter::kGcLosScanned);
+  for (std::size_t i = 0; i < kStatCounters; i++) {
+    // Saturating delta: registry().reset() between construction and here
+    // would otherwise wrap.
+    const std::uint64_t now =
+        metrics::registry().counter(kStatFields[i].counter);
+    s.*kStatFields[i].field = now >= baseline_[i] ? now - baseline_[i] : 0;
+  }
   s.los_bytes = los_.used_bytes();
   return s;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
@@ -413,9 +414,11 @@ class Heap {
   // inline fast path (asked once, here at construction).
   const bool bump_inline_;
   ParallelCopier copier_;
-  // Metrics registry totals at construction; stats() subtracts these so each
-  // Heap reports only its own activity.
-  metrics::Snapshot baseline_;
+  // Totals at construction of the registry counters stats() reports
+  // (kStatFields in heap.cpp); stats() subtracts them so each Heap reports
+  // only its own activity.
+  static constexpr std::size_t kStatCounters = 11;
+  std::array<std::uint64_t, kStatCounters> baseline_{};
 
   // Nursery.
   std::uint64_t* nursery_ = nullptr;

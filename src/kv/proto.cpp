@@ -1,11 +1,15 @@
 #include "kv/proto.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 namespace mp::kv {
 
 namespace {
+
+// The most array items ReplyParser reserves for on a header's word.
+constexpr std::uint64_t kReserveItems = 1024;
 
 // Strict unsigned-decimal parse (no sign, no blanks); false on overflow or
 // a non-digit.
@@ -19,6 +23,50 @@ bool parse_u64(std::string_view s, std::uint64_t* out) {
   }
   *out = v;
   return true;
+}
+
+// Rewrites every field of *r for a request or reply of kind `op`, keeping
+// its buffers (a request's up to kKeepBytes of them).
+void reset(Request* r, Op op) {
+  std::size_t budget = kKeepBytes;
+  r->reset(op, &budget);
+}
+
+void reset(Reply* r, Reply::Kind kind) {
+  r->kind = kind;
+  r->ival = 0;
+  r->text.clear();
+  r->items.clear();
+}
+
+// Drops a parser buffer's consumed prefix.  A fully consumed buffer starts
+// over without moving a byte (and gives back a buffer a large frame grew
+// past kKeepBytes); otherwise the prefix goes once it dominates, so
+// long-lived connections do not accumulate dead bytes.
+void compact(std::string* buf, std::size_t* pos) {
+  if (*pos == buf->size()) {
+    clear_kept(buf);
+    *pos = 0;
+  } else if (*pos > 4096 && *pos * 2 > buf->size()) {
+    buf->erase(0, *pos);
+    *pos = 0;
+  }
+}
+
+void append_decimal(std::string* out, long v) {
+  char digits[24];
+  const auto res = std::to_chars(digits, digits + sizeof digits, v);
+  out->append(digits, res.ptr);
+}
+
+// A reply header line, "<tag><n>\r\n", appended in one piece.
+void append_header(std::string* out, char tag, long n) {
+  char line[24];
+  line[0] = tag;
+  char* end = std::to_chars(line + 1, line + sizeof line - 2, n).ptr;
+  *end++ = '\r';
+  *end++ = '\n';
+  out->append(line, end);
 }
 
 }  // namespace
@@ -40,15 +88,6 @@ const char* op_name(Op op) {
 
 void FrameParser::feed(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
-}
-
-void FrameParser::compact() {
-  // Drop the consumed prefix once it dominates the buffer, so long-lived
-  // connections do not accumulate dead bytes.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
 }
 
 bool FrameParser::parse_line(std::string_view line, Request* out) {
@@ -73,7 +112,7 @@ bool FrameParser::parse_line(std::string_view line, Request* out) {
   if (ntok == 0) return false;  // all-blank line: ignored, stay in kLine
 
   const auto err = [out](const char* msg) {
-    *out = Request{};
+    reset(out, Op::kPing);
     out->error = msg;
     return true;
   };
@@ -83,8 +122,7 @@ bool FrameParser::parse_line(std::string_view line, Request* out) {
   if (verb == "GET" || verb == "DEL") {
     if (ntok != 2) return err("expected: GET|DEL <key>");
     if (tok[1].size() > kMaxKeyBytes) return err("key too long");
-    *out = Request{};
-    out->op = verb == "GET" ? Op::kGet : Op::kDel;
+    reset(out, verb == "GET" ? Op::kGet : Op::kDel);
     out->key.assign(tok[1].data(), tok[1].size());
     return true;
   }
@@ -106,10 +144,7 @@ bool FrameParser::parse_line(std::string_view line, Request* out) {
       deferred_error_ = "value too long";
       return false;
     }
-    pending_ = Request{};
-    pending_.op = Op::kSet;
     pending_.key.assign(tok[1].data(), tok[1].size());
-    pending_.value.reserve(static_cast<std::size_t>(vlen));
     mode_ = Mode::kValue;
     value_need_ = static_cast<std::size_t>(vlen);
     return false;
@@ -130,8 +165,7 @@ bool FrameParser::parse_line(std::string_view line, Request* out) {
       }
       limit = static_cast<long>(l);
     }
-    *out = Request{};
-    out->op = Op::kRange;
+    reset(out, Op::kRange);
     out->key.assign(tok[1].data(), tok[1].size());
     out->hi.assign(tok[2].data(), tok[2].size());
     out->limit = limit;
@@ -139,10 +173,9 @@ bool FrameParser::parse_line(std::string_view line, Request* out) {
   }
   if (verb == "STATS" || verb == "PING" || verb == "QUIT") {
     if (ntok != 1) return err("unexpected arguments");
-    *out = Request{};
-    out->op = verb == "STATS" ? Op::kStats
-              : verb == "PING" ? Op::kPing
-                               : Op::kQuit;
+    reset(out, verb == "STATS" ? Op::kStats
+               : verb == "PING" ? Op::kPing
+                                : Op::kQuit);
     return true;
   }
   return err("unknown command");
@@ -161,14 +194,14 @@ bool FrameParser::next(Request* out) {
             deferred_error_ = "line too long";
             continue;
           }
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         std::string_view line(buf_.data() + pos_, nl - pos_);
         if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
         pos_ = nl + 1;
         if (line.size() > kMaxLineBytes) {
-          *out = Request{};
+          reset(out, Op::kPing);
           out->error = "line too long";
           return true;
         }
@@ -177,7 +210,7 @@ bool FrameParser::next(Request* out) {
       }
       case Mode::kValue: {
         if (buf_.size() - pos_ < value_need_) {
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         pending_.value.assign(buf_, pos_, value_need_);
@@ -188,31 +221,26 @@ bool FrameParser::next(Request* out) {
       }
       case Mode::kValueNl: {
         if (pos_ >= buf_.size()) {
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         const char c = buf_[pos_];
-        if (c == '\n') {
-          pos_ += 1;
-        } else if (c == '\r') {
-          if (buf_.size() - pos_ < 2) {
-            compact();
-            return false;
-          }
-          if (buf_[pos_ + 1] != '\n') {
-            mode_ = Mode::kDiscardLine;
-            deferred_error_ = "value not newline-terminated";
-            continue;
-          }
-          pos_ += 2;
-        } else {
+        if (c == '\r' && buf_.size() - pos_ < 2) {
+          compact(&buf_, &pos_);
+          return false;
+        }
+        const std::size_t nl = c == '\n' ? 1 : c == '\r' ? 2 : 0;
+        if (nl == 0 || buf_[pos_ + nl - 1] != '\n') {
           mode_ = Mode::kDiscardLine;
           deferred_error_ = "value not newline-terminated";
+          clear_kept(&pending_.value);
           continue;
         }
+        pos_ += nl;
         mode_ = Mode::kLine;
-        *out = std::move(pending_);
-        pending_ = Request{};
+        reset(out, Op::kSet);
+        out->key.swap(pending_.key);
+        out->value.swap(pending_.value);
         return true;
       }
       case Mode::kDiscardValue: {
@@ -220,7 +248,7 @@ bool FrameParser::next(Request* out) {
         pos_ += drop;
         value_need_ -= drop;
         if (value_need_ > 0) {
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         mode_ = Mode::kDiscardLine;  // eat the payload's trailing newline
@@ -230,14 +258,13 @@ bool FrameParser::next(Request* out) {
         const std::size_t nl = buf_.find('\n', pos_);
         if (nl == std::string::npos) {
           pos_ = buf_.size();
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         pos_ = nl + 1;
         mode_ = Mode::kLine;
-        *out = Request{};
-        out->error = std::move(deferred_error_);
-        deferred_error_.clear();
+        reset(out, Op::kPing);
+        out->error = deferred_error_;
         return true;
       }
     }
@@ -255,26 +282,18 @@ void encode_error(std::string* out, std::string_view msg) {
   out->append("\r\n");
 }
 
-void encode_int(std::string* out, long v) {
-  out->push_back(':');
-  out->append(std::to_string(v));
-  out->append("\r\n");
-}
+void encode_int(std::string* out, long v) { append_header(out, ':', v); }
 
 void encode_bulk(std::string* out, std::string_view v) {
-  out->push_back('$');
-  out->append(std::to_string(v.size()));
-  out->append("\r\n");
+  append_header(out, '$', static_cast<long>(v.size()));
   out->append(v.data(), v.size());
-  out->append("\r\n");
+  out->append("\r\n", 2);
 }
 
 void encode_nil(std::string* out) { out->append("$-1\r\n"); }
 
 void encode_array_header(std::string* out, std::size_t items) {
-  out->push_back('*');
-  out->append(std::to_string(items));
-  out->append("\r\n");
+  append_header(out, '*', static_cast<long>(items));
 }
 
 // ---- request encoding ----
@@ -289,7 +308,7 @@ void encode_set(std::string* out, std::string_view key, std::string_view value) 
   out->append("SET ");
   out->append(key.data(), key.size());
   out->push_back(' ');
-  out->append(std::to_string(value.size()));
+  append_decimal(out, static_cast<long>(value.size()));
   out->push_back('\n');
   out->append(value.data(), value.size());
   out->push_back('\n');
@@ -309,7 +328,7 @@ void encode_range(std::string* out, std::string_view lo, std::string_view hi,
   out->append(hi.data(), hi.size());
   if (limit >= 0) {
     out->push_back(' ');
-    out->append(std::to_string(limit));
+    append_decimal(out, limit);
   }
   out->push_back('\n');
 }
@@ -324,17 +343,10 @@ void ReplyParser::feed(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
-void ReplyParser::compact() {
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-}
-
 bool ReplyParser::take_line(std::string_view* line) {
   const std::size_t nl = buf_.find('\n', pos_);
   if (nl == std::string::npos) {
-    compact();
+    compact(&buf_, &pos_);
     return false;
   }
   *line = std::string_view(buf_.data() + pos_, nl - pos_);
@@ -355,8 +367,7 @@ bool ReplyParser::next(Reply* out) {
         if (tag == '$') {
           if (body == "-1") {
             if (in_array_) continue;  // nil never appears inside RANGE arrays
-            *out = Reply{};
-            out->kind = Reply::Kind::kNil;
+            reset(out, Reply::Kind::kNil);
             return true;
           }
           std::uint64_t n = 0;
@@ -368,29 +379,30 @@ bool ReplyParser::next(Reply* out) {
         if (tag == '*') {
           std::uint64_t n = 0;
           if (!parse_u64(body, &n)) continue;
-          pending_ = Reply{};
-          pending_.kind = Reply::Kind::kArray;
           if (n == 0) {
-            *out = std::move(pending_);
-            pending_ = Reply{};
+            reset(out, Reply::Kind::kArray);
             return true;
           }
+          // n comes off the wire: reserve up front, but no more than a
+          // modest array's worth on its word.
+          items_.clear();
+          items_.reserve(static_cast<std::size_t>(
+              std::min<std::uint64_t>(n, kReserveItems)));
           in_array_ = true;
           array_left_ = static_cast<long>(n);
           continue;
         }
-        *out = Reply{};
         if (tag == '+') {
-          out->kind = Reply::Kind::kSimple;
+          reset(out, Reply::Kind::kSimple);
           out->text.assign(body.data(), body.size());
         } else if (tag == '-') {
-          out->kind = Reply::Kind::kError;
+          reset(out, Reply::Kind::kError);
           // Strip the conventional "ERR " prefix for callers.
           std::string_view msg = body;
           if (msg.substr(0, 4) == "ERR ") msg.remove_prefix(4);
           out->text.assign(msg.data(), msg.size());
         } else if (tag == ':') {
-          out->kind = Reply::Kind::kInt;
+          reset(out, Reply::Kind::kInt);
           out->ival = std::strtol(std::string(body).c_str(), nullptr, 10);
         } else {
           continue;  // unknown frame tag: skip the line
@@ -400,33 +412,32 @@ bool ReplyParser::next(Reply* out) {
       case Mode::kBulkBody: {
         const std::size_t have = buf_.size() - pos_;
         if (have < bulk_need_ + 1) {
-          compact();
+          compact(&buf_, &pos_);
           return false;
         }
         std::size_t term = 1;
         if (buf_[pos_ + bulk_need_] == '\r') {
           if (have < bulk_need_ + 2) {
-            compact();
+            compact(&buf_, &pos_);
             return false;
           }
           term = 2;
         }
-        std::string body(buf_, pos_, bulk_need_);
+        const std::size_t at = pos_;
         pos_ += bulk_need_ + term;
         mode_ = Mode::kLine;
         if (in_array_) {
-          pending_.items.push_back(std::move(body));
+          items_.emplace_back(buf_, at, bulk_need_);
           if (--array_left_ == 0) {
             in_array_ = false;
-            *out = std::move(pending_);
-            pending_ = Reply{};
+            reset(out, Reply::Kind::kArray);
+            out->items.swap(items_);
             return true;
           }
           continue;
         }
-        *out = Reply{};
-        out->kind = Reply::Kind::kBulk;
-        out->text = std::move(body);
+        reset(out, Reply::Kind::kBulk);
+        out->text.assign(buf_, at, bulk_need_);
         return true;
       }
     }

@@ -41,6 +41,40 @@ inline constexpr std::size_t kMaxLineBytes = 2 * kMaxKeyBytes + 64;
 // it, and the server clamps the no-limit default (-1) to it, so one RANGE
 // can never materialize an unbounded slice of the store.
 inline constexpr long kMaxRangeResults = 1 << 20;
+// The most buffer bytes a parser, a batch of recycled requests or a
+// connection's outgoing bytes keep for reuse.  A bigger buffer (a 1 MiB SET,
+// a long RANGE reply) is released once it has been used, so one large
+// request cannot pin memory on its connection.
+inline constexpr std::size_t kKeepBytes = 64u << 10;
+
+namespace detail {
+// clear_kept's rare branch, out of line so that the common one inlines
+// (the parser clears four strings per request).
+template <class Buf>
+[[gnu::noinline]] void release_buffer(Buf* b) {
+  Buf().swap(*b);
+}
+}  // namespace detail
+
+// Empties a string or vector for reuse.  Its buffer stays only while it fits
+// in what is left of *budget, and uses that up; a bigger one is released.
+template <class Buf>
+void clear_kept(Buf* b, std::size_t* budget) {
+  const std::size_t bytes = b->capacity() * sizeof(*b->data());
+  if (bytes <= *budget) {
+    *budget -= bytes;
+    b->clear();
+  } else {
+    detail::release_buffer(b);
+  }
+}
+
+// The same for a buffer kept on its own: it may keep up to kKeepBytes.
+template <class Buf>
+void clear_kept(Buf* b) {
+  std::size_t budget = kKeepBytes;
+  clear_kept(b, &budget);
+}
 
 enum class Op : std::uint8_t { kGet, kSet, kDel, kRange, kStats, kPing, kQuit };
 const char* op_name(Op op);
@@ -54,16 +88,31 @@ struct Request {
   // Non-empty: a protocol error to report in place of an operation.
   std::string error;
   bool ok() const { return error.empty(); }
+
+  // Makes this a blank request of kind `kind`, keeping its strings' buffers
+  // within *budget (clear_kept).  Every field is listed here and only here.
+  void reset(Op kind, std::size_t* budget) {
+    op = kind;
+    clear_kept(&key, budget);
+    clear_kept(&value, budget);
+    clear_kept(&hi, budget);
+    limit = -1;
+    clear_kept(&error, budget);
+  }
 };
 
 // Incremental request parser: feed() whatever arrived, then drain complete
 // requests with next().  Protocol errors come out of next() as Requests
 // with `error` set, in stream order, after the parser has discarded the
-// malformed frame.
+// malformed frame.  next() fills *out in place, keeping up to kKeepBytes of
+// its strings' buffers, so a caller that reuses one Request parses without
+// allocating.
 class FrameParser {
  public:
   void feed(const void* data, std::size_t n);
-  // True when a complete request (or error) was extracted into *out.
+  // True when a complete request (or error) was extracted into *out.  Every
+  // field of *out is rewritten; a SET's payload is swapped in, so *out's
+  // old value buffer becomes the parser's for the next SET.
   bool next(Request* out);
   std::size_t buffered() const { return buf_.size() - pos_; }
 
@@ -77,14 +126,13 @@ class FrameParser {
   };
 
   bool parse_line(std::string_view line, Request* out);
-  void compact();
 
   std::string buf_;
   std::size_t pos_ = 0;  // first unconsumed byte
   Mode mode_ = Mode::kLine;
   Request pending_;            // SET awaiting its payload
   std::size_t value_need_ = 0;  // bytes still to collect/discard
-  std::string deferred_error_;  // reported once the discard completes
+  const char* deferred_error_ = nullptr;  // reported once the discard completes
 };
 
 // ---- reply encoding (appends to *out; one call per frame) ----
@@ -124,7 +172,8 @@ struct Reply {
   std::vector<std::string> items;
 };
 
-// Incremental reply parser (client side), same contract as FrameParser.
+// Incremental reply parser (client side), same contract as FrameParser:
+// next() rewrites every field of *out in place.
 class ReplyParser {
  public:
   void feed(const void* data, std::size_t n);
@@ -135,14 +184,13 @@ class ReplyParser {
   enum class Mode : std::uint8_t { kLine, kBulkBody };
 
   bool take_line(std::string_view* line);
-  void compact();
 
   std::string buf_;
   std::size_t pos_ = 0;
   Mode mode_ = Mode::kLine;
   std::size_t bulk_need_ = 0;
-  Reply pending_;
-  long array_left_ = 0;  // bulk items still owed to pending_ (array mode)
+  std::vector<std::string> items_;  // the array being collected
+  long array_left_ = 0;  // bulk items still owed to items_ (array mode)
   bool in_array_ = false;
 };
 

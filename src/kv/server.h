@@ -21,7 +21,12 @@
 //    number (one read's requests fan out across shards and complete in any
 //    order), merges each RANGE's per-shard slices once the last one is in,
 //    and flushes each contiguous run of replies with one coalesced
-//    write_all.
+//    write_all per batch.
+//
+// Batches are recycled, not freed: the writer blanks each batch it has
+// retired and hands it back to the reader on a per-connection free list,
+// and the reader refills it in place, so a warmed-up connection serves a
+// read without heap allocation (docs/KV.md, "Memory on the request path").
 //
 // Protocol errors, PING, and STATS never reach a shard: the reader answers
 // them itself, in a batch of its own posted straight to the reply mailbox

@@ -36,6 +36,30 @@ metrics::Histo queue_histo(Op op) {
 
 }  // namespace
 
+void KvReq::recycle(std::size_t* budget) {
+  req.reset(Op::kPing, budget);
+  clear_kept(&out, budget);
+  range.clear(budget);
+  seq = 0;
+  stat_keys = 0;
+  stat_bytes = 0;
+  stat_ops = 0;
+}
+
+void ReqList::clear() {
+  // One budget over the list's own array and every request it holds,
+  // retired ones included, so a batch keeps at most kKeepBytes however many
+  // requests it once carried.  An array over budget goes whole.
+  const std::size_t array = all_.capacity() * sizeof(KvReq);
+  if (array > kKeepBytes) {
+    std::vector<KvReq>().swap(all_);
+  } else {
+    std::size_t budget = kKeepBytes - array;
+    for (KvReq& r : all_) r.recycle(&budget);
+  }
+  n_ = 0;
+}
+
 KvService::KvService(threads::Scheduler& sched, KvConfig cfg)
     : sched_(sched), cfg_(cfg) {
   int n = cfg_.shards;
@@ -196,11 +220,11 @@ void KvService::apply(Shard& sh, KvReq& r) {
     case Op::kRange: {
       // One probe of a multi-shard scatter: return this shard's slice of
       // [lo, hi] (sorted, capped at the global limit — enough for the merge)
-      // as structured pairs; the connection layer merges and encodes.
-      r.range_out.clear();
+      // as key/value pairs; the connection layer merges and encodes.
+      r.range.clear();
       store.range(r.req.key, r.req.hi, r.req.limit,
                   [&](std::string_view k, std::string_view v) {
-                    r.range_out.emplace_back(k, v);
+                    r.range.push(k, v);
                     return true;
                   });
       break;

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "cml/cml.h"
@@ -39,6 +40,40 @@ struct KvConfig {
   std::uint64_t seed = 0x5eed;
 };
 
+// Key/value pairs in key order, stored back to back in one byte buffer, so
+// refilling a recycled one allocates nothing.
+class RangeSlice {
+ public:
+  std::size_t size() const { return ends_.size() / 2; }
+  std::string_view key(std::size_t i) const {
+    const std::size_t from = i == 0 ? 0 : ends_[2 * i - 1];
+    return std::string_view(bytes_).substr(from, ends_[2 * i] - from);
+  }
+  std::string_view value(std::size_t i) const {
+    return std::string_view(bytes_).substr(ends_[2 * i],
+                                           ends_[2 * i + 1] - ends_[2 * i]);
+  }
+  void push(std::string_view key, std::string_view value) {
+    bytes_.append(key);
+    ends_.push_back(bytes_.size());
+    bytes_.append(value);
+    ends_.push_back(bytes_.size());
+  }
+  // Empties the slice, keeping its buffers within *budget (clear_kept).
+  void clear(std::size_t* budget) {
+    clear_kept(&bytes_, budget);
+    clear_kept(&ends_, budget);
+  }
+  void clear() {
+    std::size_t budget = kKeepBytes;
+    clear(&budget);
+  }
+
+ private:
+  std::string bytes_;               // key 0, value 0, key 1, ...
+  std::vector<std::size_t> ends_;   // where each key and value ends
+};
+
 // One request inside a batch: filled in by a connection's reader, applied
 // and reply-encoded by the owning shard thread, retired (in submission
 // order) by the connection's writer thread.
@@ -48,18 +83,50 @@ struct KvReq {
   // RANGE probe results: this shard's sorted slice of [key, hi], capped at
   // req.limit.  The connection's writer merges the slices across shards and
   // encodes the reply (see server.cpp).
-  std::vector<std::pair<std::string, std::string>> range_out;
+  RangeSlice range;
   std::uint64_t seq = 0;  // per-connection submission order
   // STATS probe results (filled by the shard).
   std::size_t stat_keys = 0;
   std::size_t stat_bytes = 0;
   std::uint64_t stat_ops = 0;
+
+  // Makes this a blank request again, keeping its buffers within *budget
+  // (clear_kept).
+  void recycle(std::size_t* budget);
+};
+
+// A batch's requests, in order: a vector of KvReq whose clear() blanks the
+// requests but keeps them for emplace_back() to refill, as long as the
+// vector and their buffers together fit in kKeepBytes.
+class ReqList {
+ public:
+  KvReq& emplace_back() {
+    if (n_ == all_.size()) all_.emplace_back();
+    return all_[n_++];
+  }
+  // Appends blank requests until there are n; never shrinks.
+  void resize(std::size_t n) {
+    while (n_ < n) emplace_back();
+  }
+  void clear();
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  KvReq& operator[](std::size_t i) { return all_[i]; }
+  const KvReq& operator[](std::size_t i) const { return all_[i]; }
+  KvReq* begin() { return all_.data(); }
+  KvReq* end() { return all_.data() + n_; }
+  const KvReq* begin() const { return all_.data(); }
+  const KvReq* end() const { return all_.data() + n_; }
+
+ private:
+  std::vector<KvReq> all_;  // [0, n_) live, the rest retired
+  std::size_t n_ = 0;
 };
 
 // The requests one connection hands one shard at once.  Crosses CML
 // channels as a pointer, like every payload in this runtime.
 struct KvBatch {
-  std::vector<KvReq> reqs;  // applied in this order
+  ReqList reqs;  // applied in this order
   // Where the shard posts the applied batch.  A mailbox, not a rendezvous
   // channel, on purpose: delivery is asynchronous, so a shard owner is never
   // parked by one connection whose writer has stalled — replies to other
@@ -68,6 +135,8 @@ struct KvBatch {
   // Platform clock at submission, for the latency metrics; negative when
   // the registry was off then, and the metrics skip the batch.
   double submit_us = -1;
+  // A retired batch on its connection's free list (server.cpp).
+  KvBatch* next_free = nullptr;
 };
 
 struct ShardStats {

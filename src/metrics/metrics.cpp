@@ -122,6 +122,15 @@ Snapshot Registry::snapshot() const {
   return out;
 }
 
+std::uint64_t Registry::counter(Counter c) const {
+  std::uint64_t total = 0;
+  for (const Slot& s : slots_) {
+    total += s.counters[static_cast<std::size_t>(c)].load(
+        std::memory_order_relaxed);
+  }
+  return total;
+}
+
 void Registry::reset() {
   for (Slot& s : slots_) {
     for (std::size_t c = 0; c < kNumCounters; ++c) {

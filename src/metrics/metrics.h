@@ -271,6 +271,9 @@ class Registry {
   }
 
   Snapshot snapshot() const;
+  // One counter summed over every slot: snapshot().counter(c) without
+  // reading the rest of the registry.
+  std::uint64_t counter(Counter c) const;
   void reset();
 
  private:

@@ -79,6 +79,29 @@ TEST(Registry, CountAlwaysBypassesDisable) {
   EXPECT_EQ(r.snapshot().counter(Counter::kGcMinor), 3u);
 }
 
+// The per-counter read Heap::stats() uses sums the same slots a snapshot
+// does, for every counter.
+TEST(Registry, CounterReadEqualsSnapshot) {
+  Registry r;
+  std::thread other([&r] {
+    Registry::bind_slot(5);
+    r.count_always(Counter::kGcMinor, 3);
+    r.count_always(Counter::kGcWordsCopiedMinor, 40);
+    Registry::unbind_slot();
+  });
+  other.join();
+  Registry::bind_slot(9);
+  r.count_always(Counter::kGcMinor, 2);
+  r.count_always(Counter::kLockAcquires, 7);
+  Registry::unbind_slot();
+  const Snapshot s = r.snapshot();
+  for (std::size_t c = 0; c < kNumCounters; c++) {
+    const auto counter = static_cast<Counter>(c);
+    EXPECT_EQ(r.counter(counter), s.counter(counter)) << counter_name(counter);
+  }
+  EXPECT_EQ(r.counter(Counter::kGcMinor), 5u);
+}
+
 TEST(Registry, ResetClears) {
   Registry r;
   r.count(Counter::kSchedForks, 7);

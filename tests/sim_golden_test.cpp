@@ -1,11 +1,12 @@
-// Pins the simulator's Figure 6 traces bit for bit.  The simulator is
-// deterministic virtual time, so a change to the runtime that is meant to
-// leave the paper's numbers alone (a native fast path, a refactor) must
-// leave every cell of fig6_speedup's --quick grid exactly as it was: the
-// result checksum, the lock count, and the time accounts printed as
-// hexadecimal floats.  An intended change to the traces updates
-// golden/fig6_quick.txt from the file this test prints on a mismatch, and
-// states its reason in the change description.
+// Pins the simulator's traces bit for bit.  The simulator is deterministic
+// virtual time, so a change to the runtime that is meant to leave the
+// paper's numbers alone (a native fast path, a refactor) must leave every
+// cell exactly as it was: the result checksum, the lock count, and the time
+// accounts printed as hexadecimal floats.  Two grids are pinned:
+// fig6_speedup's --quick grid (golden/fig6_quick.txt) and the sharded KV
+// service at 1, 2 and 4 procs (golden/kv_sim.txt).  An intended change to
+// the traces updates the golden file from the output this test prints on a
+// mismatch, and states its reason in the change description.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "workloads/runner.h"
 
@@ -31,17 +33,23 @@ std::string cell_line(const mp::workloads::SimRunResult& r) {
   return buf;
 }
 
-TEST(SimGolden, Figure6QuickGridIsBitIdentical) {
+// The cells of `workloads` swept over `procs` with the harness defaults on
+// sim::sequent_s81, one line each.
+std::string grid(const std::vector<const char*>& workloads,
+                 const std::vector<int>& procs) {
   std::string now;
-  for (const char* w : {"seq", "mm", "abisort", "allpairs", "mst", "simple"}) {
-    // fig6_speedup's spec: the harness defaults on sim::sequent_s81.
+  for (const char* w : workloads) {
     mp::workloads::SimRunSpec spec;
     spec.workload = w;
-    for (const auto& r : mp::workloads::sweep_procs(spec, {1, 4, 8, 16})) {
+    for (const auto& r : mp::workloads::sweep_procs(spec, procs)) {
       now += cell_line(r);
     }
   }
-  const std::string path = std::string(MPNJ_GOLDEN_DIR) + "/fig6_quick.txt";
+  return now;
+}
+
+void expect_golden(const char* file, const std::string& now) {
+  const std::string path = std::string(MPNJ_GOLDEN_DIR) + "/" + file;
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "missing golden file " << path
                          << "; this build's traces:\n" << now;
@@ -50,6 +58,20 @@ TEST(SimGolden, Figure6QuickGridIsBitIdentical) {
   EXPECT_EQ(golden.str(), now)
       << "simulator traces differ from " << path
       << "; the whole new file follows:\n" << now;
+}
+
+TEST(SimGolden, Figure6QuickGridIsBitIdentical) {
+  expect_golden("fig6_quick.txt",
+                grid({"seq", "mm", "abisort", "allpairs", "mst", "simple"},
+                     {1, 4, 8, 16}));
+}
+
+// The kv workload drives the real KvService and serve() over virtual
+// pipes, so every charge the connection layer and the shards take (the
+// batch structure, the rendezvous, the write boundaries) shows in its
+// virtual times: a change to how src/kv holds its memory must not move it.
+TEST(SimGolden, KvWorkloadIsBitIdentical) {
+  expect_golden("kv_sim.txt", grid({"kv"}, {1, 2, 4}));
 }
 
 }  // namespace
