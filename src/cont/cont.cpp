@@ -15,17 +15,18 @@ namespace {
 // Sharded by core address: at production fork rates every capture and
 // release takes a registry lock, and a single global word is the first thing
 // every proc fights over.  The collector iterates shard by shard with the
-// world stopped, so it still sees every live core.
+// world stopped, so it still sees every live core.  Each shard counts its
+// own cores under its lock, so a capture or release touches no shared word.
 
 constexpr std::size_t kRegShards = 64;
 
 struct alignas(64) RegShard {
   std::atomic<std::uint32_t> lock{0};
   ContCore* head = nullptr;
+  std::size_t live = 0;  // cores on this shard's list
 };
 
 RegShard g_reg_shards[kRegShards];
-std::atomic<std::size_t> g_live_cores{0};
 
 std::size_t shard_of(const ContCore* core) noexcept {
   // Cores are cacheline-ish sized; dropping the low bits spreads pooled
@@ -98,19 +99,7 @@ void ContCore::preload(std::uint64_t raw, bool gc_traced) noexcept {
 
 void cont_unref(ContCore* core) noexcept {
   if (core->refs_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  {
-    RegShard& shard = g_reg_shards[shard_of(core)];
-    RegistryGuard guard(shard);
-    if (core->reg_prev_ != nullptr) {
-      core->reg_prev_->reg_next_ = core->reg_next_;
-    } else {
-      shard.head = core->reg_next_;
-    }
-    if (core->reg_next_ != nullptr) {
-      core->reg_next_->reg_prev_ = core->reg_prev_;
-    }
-  }
-  g_live_cores.fetch_sub(1, std::memory_order_relaxed);
+  detail::ContOps::unregister_core(core);
   StackSegment* seg = core->home_seg_;
   if (core->state_.load(std::memory_order_relaxed) != ContCore::State::kFired) {
     // An abandoned, never-resumed continuation: un-count its seal so the
@@ -144,6 +133,29 @@ ContCore* ContOps::alloc_core() {
   return new ContCore();
 }
 
+void ContOps::register_core(ContCore* core) {
+  RegShard& shard = g_reg_shards[shard_of(core)];
+  RegistryGuard guard(shard);
+  core->reg_next_ = shard.head;
+  if (shard.head != nullptr) shard.head->reg_prev_ = core;
+  shard.head = core;
+  shard.live++;
+}
+
+void ContOps::unregister_core(ContCore* core) noexcept {
+  RegShard& shard = g_reg_shards[shard_of(core)];
+  RegistryGuard guard(shard);
+  if (core->reg_prev_ != nullptr) {
+    core->reg_prev_->reg_next_ = core->reg_next_;
+  } else {
+    shard.head = core->reg_next_;
+  }
+  if (core->reg_next_ != nullptr) {
+    core->reg_next_->reg_prev_ = core->reg_prev_;
+  }
+  shard.live--;
+}
+
 void ContOps::free_core(ContCore* core) noexcept {
   ExecContext* ex = current_exec();
   if (ex != nullptr && ex->core_cache_count < kCoreCacheCap) {
@@ -168,14 +180,7 @@ ContRef ContOps::make_sealed_core() {
   core->home_seg_ = ex->seg;
   ex->seg->add_ref();
   core->root_head_ = ex->root_head;
-  {
-    RegShard& shard = g_reg_shards[shard_of(core)];
-    RegistryGuard guard(shard);
-    core->reg_next_ = shard.head;
-    if (shard.head != nullptr) shard.head->reg_prev_ = core;
-    shard.head = core;
-  }
-  g_live_cores.fetch_add(1, std::memory_order_relaxed);
+  register_core(core);
   return ContRef::adopt(core);
 }
 
@@ -328,14 +333,7 @@ ContRef ContOps::adopt_entry_segment(StackSegment* seg) {
   seg->live_seals.store(1, std::memory_order_relaxed);
   core->state_.store(ContCore::State::kPreloaded, std::memory_order_relaxed);
   core->slot_ = 0;
-  {
-    RegShard& shard = g_reg_shards[shard_of(core)];
-    RegistryGuard guard(shard);
-    core->reg_next_ = shard.head;
-    if (shard.head != nullptr) shard.head->reg_prev_ = core;
-    shard.head = core;
-  }
-  g_live_cores.fetch_add(1, std::memory_order_relaxed);
+  register_core(core);
   return ContRef::adopt(core);
 }
 
@@ -428,7 +426,12 @@ void for_each_core(const std::function<void(ContCore&)>& fn) {
 }
 
 std::size_t live_core_count() {
-  return g_live_cores.load(std::memory_order_relaxed);
+  std::size_t n = 0;
+  for (RegShard& shard : g_reg_shards) {
+    RegistryGuard guard(shard);
+    n += shard.live;
+  }
+  return n;
 }
 
 }  // namespace mp::cont

@@ -264,7 +264,10 @@ struct ContOps {
   // Final stages of an abandon-unwind (called by the trampoline only).
   [[noreturn]] static void resume_target(ContRef k);
   [[noreturn]] static void return_to_idle();
-  // Registry iteration for the collector.
+  // Registry of live cores: link a new core, unlink a released one, and
+  // iterate for the collector.
+  static void register_core(ContCore* core);
+  static void unregister_core(ContCore* core) noexcept;
   static void for_each(const std::function<void(ContCore&)>& fn);
   // Core allocation through the per-proc recycled-core cache.
   static ContCore* alloc_core();

@@ -43,6 +43,8 @@ constexpr StatField kStatFields[] = {
     {metrics::Counter::kGcCardsDirtied, &HeapStats::cards_dirtied},
     {metrics::Counter::kGcCardsScanned, &HeapStats::cards_scanned},
     {metrics::Counter::kGcLosScanned, &HeapStats::los_scanned},
+    {metrics::Counter::kGcLosYoungFreed, &HeapStats::los_young_freed},
+    {metrics::Counter::kGcLosYoungBytesFreed, &HeapStats::los_young_bytes_freed},
 };
 
 using Clock = std::chrono::steady_clock;
@@ -316,16 +318,17 @@ std::uint64_t* Heap::alloc_los(std::size_t words, ObjKind kind,
       MPNJ_METRIC_COUNT_ALWAYS(kGcLargeAllocs, 1);
       MPNJ_METRIC_COUNT_ALWAYS(kGcLosBytesAllocated, words * kWord);
       // The caller writes the initial fields from rooted_args with no store
-      // barrier, so a traced large object is born dirty when one of them
-      // points into the nursery: the next minor collection scans it like
-      // any recorded store.  (The old bump-into-old-generation path silently
-      // missed exactly this case.)  Nothing can collect between this check
-      // and those writes, so an object of immediates or old pointers is
-      // born clean and costs a minor nothing.
+      // barrier, so a traced large object is born dirty when one of them is
+      // young (in the nursery, or a young large object): the next minor
+      // collection scans it like any recorded store, and so reaches what
+      // it holds.  (The old bump-into-old-generation path silently missed
+      // exactly this case.)  Nothing can collect between this check and
+      // those writes, so an object of immediates or old pointers is born
+      // clean and costs a minor nothing.
       if (kind == ObjKind::kRecord || kind == ObjKind::kArray ||
           kind == ObjKind::kRef) {
         for (const Value v : rooted_args) {
-          if (in_nursery(v)) {
+          if (in_nursery(v) || (v.is_ptr() && los_.is_young(v.obj()))) {
             los_.set_dirty(obj);
             break;
           }
@@ -490,17 +493,21 @@ void Heap::collect_now(bool force_major) {
   }
 }
 
-void Heap::forward_slot(std::uint64_t* slot) {
+void Heap::forward_slot(std::uint64_t* slot, bool from_root) {
   const std::uint64_t bits = *slot;
   if (bits == 0 || (bits & 1u) != 0) return;  // nil or immediate int
   auto* obj = reinterpret_cast<std::uint64_t*>(bits);
   if (obj < from_lo_ || obj >= from_hi_) {
-    // Not in the evacuated space.  A major phase marks the LOS in passing;
-    // the first visit owes the object's fields a scan (via the mark stack).
-    if (los_mark_phase_ && los_.contains(obj) &&
-        LargeObjectSpace::try_mark(obj)) {
-      MPNJ_METRIC_COUNT_ALWAYS(kGcLosMarked, 1);
-      if (header_is_traced(obj[0])) los_mark_stack_.push_back(obj);
+    // Not in the evacuated space.  A minor marks the young large objects it
+    // reaches, with no scan; a major marks every large object in passing,
+    // and the first visit owes its fields a scan (via the mark stack).
+    if (los_.contains(obj)) {
+      if (!los_mark_phase_) {
+        LargeObjectSpace::mark_young(obj, from_root);
+      } else if (LargeObjectSpace::try_mark(obj)) {
+        MPNJ_METRIC_COUNT_ALWAYS(kGcLosMarked, 1);
+        if (header_is_traced(obj[0])) los_mark_stack_.push_back(obj);
+      }
     }
     return;
   }
@@ -604,11 +611,19 @@ std::vector<std::uint64_t*> Heap::gather_root_slots(
   // roots.  Only assignments into live old objects still matter; slots
   // inside the nursery belong to young objects the trace reaches anyway.
   // (Card-mode minors get the same information as parse ranges instead —
-  // see gather_remset_ranges.)
+  // see gather_remset_ranges.)  These slots are in the heap and leave the
+  // store list with this minor, so a young large object one reaches turns
+  // old.
   if (minor && cfg_.remset == RemsetMode::kList) {
     for (auto& ph : proc_heaps_) {
       for (std::uint64_t* slot : ph.store_list) {
-        if (slot >= old_cur_ && slot < old_alloc_) slots.push_back(slot);
+        if (slot < old_cur_ || slot >= old_alloc_) continue;
+        slots.push_back(slot);
+        const std::uint64_t bits = *slot;
+        auto* target = reinterpret_cast<std::uint64_t*>(bits);
+        if (bits != 0 && (bits & 1u) == 0 && los_.contains(target)) {
+          LargeObjectSpace::mark_young(target, /*from_root=*/false);
+        }
       }
     }
   }
@@ -663,7 +678,7 @@ std::uint64_t Heap::sequential_phase(std::span<const ScanRange> ranges,
   std::uint64_t* const start = old_alloc_;
   std::uint64_t* scan = old_alloc_;
   for (const ScanRange& r : ranges) scan_range_seq(r);
-  for (std::uint64_t* slot : roots) forward_slot(slot);
+  for (std::uint64_t* slot : roots) forward_slot(slot, /*from_root=*/true);
   // Cheney scan; a major additionally drains the LOS mark stack against it
   // to a joint fixpoint (a promoted object can point at a large object and
   // vice versa).
@@ -689,7 +704,8 @@ std::uint64_t Heap::parallel_phase(std::span<const ScanRange> ranges,
     in.cards = &cards_;
     in.card_base = old_cur_;
   }
-  if (los_mark_phase_) in.los = &los_;
+  in.los = &los_;
+  in.major = los_mark_phase_;
   const ParallelCopier::PhaseResult res = copier_.run_phase(in);
   old_alloc_ = frontier;
   MPNJ_METRIC_COUNT_ALWAYS(kGcParCollections, 1);
@@ -785,7 +801,11 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
     for (const std::uint32_t c : pending_cards_) cards_.clear(c);
     pending_cards_.clear();
   }
-  los_.clear_all_dirty();
+  // Unreached young large objects die here; those a heap slot reached
+  // turn old.
+  const LargeObjectSpace::SweepResult young = los_.sweep_young();
+  MPNJ_METRIC_COUNT_ALWAYS(kGcLosYoungFreed, young.objects_freed);
+  MPNJ_METRIC_COUNT_ALWAYS(kGcLosYoungBytesFreed, young.bytes_freed);
   fold_alloc_counts();
   MPNJ_METRIC_COUNT_ALWAYS(kGcMinor, 1);
   const auto reset_end = Clock::now();
@@ -797,7 +817,8 @@ void Heap::do_collect(bool force_major, std::span<Value> extra_roots) {
   const auto minor_end = Clock::now();
 
   // --- major: copy the old generation into the other semispace ---
-  // LOS pressure escalates to a major too: only a major's sweep frees runs.
+  // LOS pressure escalates to a major too: only a major's sweep frees old
+  // runs.
   const bool los_pressure =
       static_cast<double>(los_.used_bytes()) >
       cfg_.los_pressure_fraction * static_cast<double>(cfg_.los_bytes);
@@ -888,12 +909,24 @@ bool Heap::verify(std::string* error) const {
     const bool old = p >= old_cur_ && p < old_alloc_;
     return young || old || los_.is_object_start(p);
   };
+  // Young: in the nursery, or a young large object (whose meta it reads, so
+  // it follows a valid_value check).
   auto is_young = [&](std::uint64_t bits) {
     if (bits == 0 || (bits & 1u) != 0) return false;
     auto* p = reinterpret_cast<std::uint64_t*>(bits);
-    return p >= nursery_ && p < nursery_ + nursery_words_;
+    return (p >= nursery_ && p < nursery_ + nursery_words_) ||
+           los_.is_young(p);
   };
   const bool card_mode = cfg_.remset == RemsetMode::kCard;
+  // List mode: every recorded slot, for the store-list invariant below.
+  std::vector<const std::uint64_t*> recorded;
+  if (!card_mode) {
+    for (const ProcHeap& ph : proc_heaps_) {
+      recorded.insert(recorded.end(), ph.store_list.begin(),
+                      ph.store_list.end());
+    }
+    std::sort(recorded.begin(), recorded.end());
+  }
 
   // Every object in the old generation must parse (parallel collections pad
   // unused block tails with untraced kBytes objects precisely so this walk
@@ -921,13 +954,19 @@ bool Heap::verify(std::string* error) const {
         if (!valid_value(obj[1 + i])) {
           return fail("bad field pointer in object at " + describe_ptr(obj));
         }
-        // The card invariant: an old-to-young pointer whose card is clean
-        // would be invisible to the next minor collection.
-        if (card_mode && is_young(obj[1 + i])) {
+        // The card (store-list) invariant: an old-to-young pointer whose
+        // card is clean (slot is unrecorded) would be invisible to the next
+        // minor collection.
+        if (is_young(obj[1 + i])) {
           const std::size_t slot_off =
               static_cast<std::size_t>((obj + 1 + i) - old_cur_);
-          if (!cards_.is_dirty(cards_.card_of(slot_off))) {
+          if (card_mode && !cards_.is_dirty(cards_.card_of(slot_off))) {
             return fail("old-to-young pointer on a clean card at slot " +
+                        describe_ptr(obj + 1 + i));
+          }
+          if (!card_mode && !std::binary_search(recorded.begin(),
+                                                recorded.end(), obj + 1 + i)) {
+            return fail("old-to-young pointer off the store list at slot " +
                         describe_ptr(obj + 1 + i));
           }
         }
@@ -946,6 +985,7 @@ bool Heap::verify(std::string* error) const {
   std::string los_err;
   std::vector<const std::uint64_t*> los_live;
   std::size_t los_flagged = 0;
+  std::size_t los_young = 0;
   los_.for_each_object([&](std::uint64_t* lobj) {
     if (!los_ok) return;
     const LargeObjectSpace::Meta* m = LargeObjectSpace::meta_of(lobj);
@@ -956,6 +996,7 @@ bool Heap::verify(std::string* error) const {
     }
     los_live.push_back(lobj);
     if (m->dirty.load(std::memory_order_relaxed) != 0) los_flagged++;
+    if (m->young.load(std::memory_order_relaxed) != 0) los_young++;
     const std::uint64_t hdr = lobj[0];
     if ((hdr & 1u) != 0) {
       los_ok = false;
@@ -1001,30 +1042,49 @@ bool Heap::verify(std::string* error) const {
   });
   if (!los_ok) return fail(los_err);
 
-  // The dirty list holds live, flagged objects, each once, and every flagged
-  // object is on it: a minor collection scans only the list, so a flagged
-  // object missing from it would hide its young pointers.
-  std::vector<const std::uint64_t*> listed;
-  los_.for_each_dirty([&](std::uint64_t* lobj) { listed.push_back(lobj); });
+  // The dirty and young lists hold live, flagged objects, each once, and
+  // every flagged object is on its list: a minor collection scans only the
+  // dirty list and frees only from the young list, so a dirty object
+  // missing from its list would hide its young pointers, and a young one
+  // would never be freed young.
   std::sort(los_live.begin(), los_live.end());
-  std::sort(listed.begin(), listed.end());
-  for (std::size_t i = 0; i < listed.size(); i++) {
-    if (i > 0 && listed[i] == listed[i - 1]) {
-      return fail("LOS object on the dirty list twice at " +
-                  describe_ptr(listed[i]));
+  using Flag = std::atomic<std::uint8_t> LargeObjectSpace::Meta::*;
+  auto check_list = [&](const char* list,
+                        std::vector<const std::uint64_t*> listed, Flag flag,
+                        std::size_t flagged) {
+    std::sort(listed.begin(), listed.end());
+    for (std::size_t i = 0; i < listed.size(); i++) {
+      if (i > 0 && listed[i] == listed[i - 1]) {
+        return fail(std::string("LOS object on the ") + list +
+                    " list twice at " + describe_ptr(listed[i]));
+      }
+      if (!std::binary_search(los_live.begin(), los_live.end(), listed[i])) {
+        return fail(std::string("dead object on the LOS ") + list +
+                    " list at " + describe_ptr(listed[i]));
+      }
+      if ((LargeObjectSpace::meta_of(listed[i])->*flag).load(
+              std::memory_order_relaxed) == 0) {
+        return fail(std::string("unflagged LOS object on the ") + list +
+                    " list at " + describe_ptr(listed[i]));
+      }
     }
-    if (!std::binary_search(los_live.begin(), los_live.end(), listed[i])) {
-      return fail("dead object on the LOS dirty list at " +
-                  describe_ptr(listed[i]));
+    if (listed.size() != flagged) {
+      return fail(std::string("flagged LOS object missing from the ") + list +
+                  " list");
     }
-    if (LargeObjectSpace::meta_of(listed[i])->dirty.load(
-            std::memory_order_relaxed) == 0) {
-      return fail("clean LOS object on the dirty list at " +
-                  describe_ptr(listed[i]));
-    }
+    return true;
+  };
+  std::vector<const std::uint64_t*> dirty;
+  los_.for_each_dirty([&](std::uint64_t* lobj) { dirty.push_back(lobj); });
+  if (!check_list("dirty", std::move(dirty), &LargeObjectSpace::Meta::dirty,
+                  los_flagged)) {
+    return false;
   }
-  if (listed.size() != los_flagged) {
-    return fail("dirty LOS object missing from the dirty list");
+  std::vector<const std::uint64_t*> young;
+  los_.for_each_young([&](std::uint64_t* lobj) { young.push_back(lobj); });
+  if (!check_list("young", std::move(young), &LargeObjectSpace::Meta::young,
+                  los_young)) {
+    return false;
   }
 
   // Registered roots must hold valid values.

@@ -40,7 +40,8 @@ enum class RemsetMode : std::uint8_t { kCard = 0, kList = 1 };
 // (copied between two semispaces) when it passes `major_fraction`.  Objects
 // at or above `los_threshold_bytes` (and anything too big for a nursery
 // chunk) go to the page-granular large-object space instead and are
-// mark-swept, never copied.
+// mark-swept, never copied: a minor frees those allocated since the last
+// collection that it does not reach, a major's sweep any it does not reach.
 //
 // Construction is named-setter style and validated: Heap panics with a
 // precise message on a degenerate configuration (zero-chunk nursery,
@@ -170,6 +171,8 @@ struct HeapStats {
   std::uint64_t cards_dirtied = 0;
   std::uint64_t cards_scanned = 0;
   std::uint64_t los_scanned = 0;  // dirty large objects minors re-scanned
+  std::uint64_t los_young_freed = 0;  // young large objects minors freed
+  std::uint64_t los_young_bytes_freed = 0;  // their object bytes
   std::uint64_t los_bytes = 0;  // live large-object bytes right now
 };
 
@@ -185,7 +188,8 @@ struct HeapStats {
 //                through private card-aligned blocks, one fetch_add each);
 //                majors copy the old generation between semispaces.
 //   LOS          big objects live in a page-granular mark-sweep space and
-//                are never copied by either generation.
+//                are never copied by either generation; minors free the
+//                young ones they do not reach, majors sweep the rest.
 //
 // Client discipline: every Value live across a runtime call (allocation,
 // lock, thread operation, explicit safe point) must be held in a Roots frame
@@ -397,7 +401,8 @@ class Heap {
   // for a minor phase; fills pending_cards_ for the post-phase clear.
   std::vector<ScanRange> gather_remset_ranges();
   void scan_range_seq(const ScanRange& r);
-  void forward_slot(std::uint64_t* slot);
+  // `from_root`: the slot is a root, not a field of a heap object.
+  void forward_slot(std::uint64_t* slot, bool from_root = false);
   std::uint64_t* scan_object(std::uint64_t* obj);
   void drain_los_marks();
   void maybe_verify(const char* phase);
@@ -417,7 +422,7 @@ class Heap {
   // Totals at construction of the registry counters stats() reports
   // (kStatFields in heap.cpp); stats() subtracts them so each Heap reports
   // only its own activity.
-  static constexpr std::size_t kStatCounters = 11;
+  static constexpr std::size_t kStatCounters = 13;
   std::array<std::uint64_t, kStatCounters> baseline_{};
 
   // Nursery.

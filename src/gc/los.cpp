@@ -47,7 +47,7 @@ std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words) {
       free_[i].page += static_cast<std::uint32_t>(pages);
       free_[i].pages -= static_cast<std::uint32_t>(pages);
     }
-    objects_.push_back(page);
+    young_.push_back(page);
     cycle_top_ = std::max(cycle_top_, page + static_cast<std::uint32_t>(pages));
   }
   used_pages_.fetch_add(pages, std::memory_order_relaxed);
@@ -59,6 +59,7 @@ std::uint64_t* LargeObjectSpace::alloc(std::size_t obj_words) {
   meta->obj_words = obj_words;
   meta->mark.store(0, std::memory_order_relaxed);
   meta->dirty.store(0, std::memory_order_relaxed);
+  meta->young.store(1, std::memory_order_relaxed);
   return reinterpret_cast<std::uint64_t*>(run) + kMetaWords;
 }
 
@@ -69,10 +70,6 @@ void LargeObjectSpace::clear_dirty_locked() {
   dirty_.clear();
 }
 
-void LargeObjectSpace::clear_all_dirty() {
-  arch::TasGuard guard(lock_);
-  clear_dirty_locked();
-}
 
 void LargeObjectSpace::coalesce(std::vector<Extent>& extents) {
   std::sort(extents.begin(), extents.end(),
@@ -89,32 +86,71 @@ void LargeObjectSpace::coalesce(std::vector<Extent>& extents) {
   extents.resize(out);
 }
 
+void LargeObjectSpace::free_run_locked(std::uint32_t page, Meta* meta,
+                                       SweepResult* res) {
+  res->objects_freed++;
+  res->bytes_freed += meta->obj_words * kWordBytes;
+  res->pages_freed += meta->pages;
+  meta->magic = 0;
+  free_.push_back(Extent{page, meta->pages});
+}
+
+LargeObjectSpace::SweepResult LargeObjectSpace::sweep_young() {
+  SweepResult res;
+  arch::TasGuard guard(lock_);
+  // Before any run is freed: a listed object may be about to die.
+  clear_dirty_locked();
+  std::size_t kept = 0;
+  for (const std::uint32_t page : young_) {
+    Meta* meta = meta_of(object_at(page));
+    const std::uint8_t mark = meta->mark.load(std::memory_order_relaxed);
+    meta->mark.store(0, std::memory_order_relaxed);
+    if (mark == 0) {
+      free_run_locked(page, meta, &res);
+      continue;
+    }
+    res.objects_live++;
+    if ((mark & kReachedFromHeap) != 0) {
+      meta->young.store(0, std::memory_order_relaxed);
+      old_.push_back(page);
+    } else {
+      young_[kept++] = page;
+    }
+  }
+  young_.resize(kept);
+  // The freed runs stay below the cycle's high-water mark, so they stay
+  // committed for reuse; sweep() decides what goes back to the kernel.
+  if (res.objects_freed != 0) coalesce(free_);
+  used_pages_.fetch_sub(static_cast<std::size_t>(res.pages_freed),
+                        std::memory_order_relaxed);
+  return res;
+}
+
 LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
   SweepResult res;
   arch::TasGuard guard(lock_);
   // Before any run is released: a listed object may be about to die.
   clear_dirty_locked();
-  std::vector<std::uint32_t> live;
-  live.reserve(objects_.size());
+  old_.insert(old_.end(), young_.begin(), young_.end());
+  young_.clear();
   std::uint32_t live_top = 0;
-  for (const std::uint32_t page : objects_) {
-    std::uint64_t* obj = object_at(page);
-    Meta* meta = meta_of(obj);
-    if (meta->mark.load(std::memory_order_relaxed) != 0) {
-      meta->mark.store(0, std::memory_order_relaxed);
-      live.push_back(page);
-      live_top = std::max(live_top, page + meta->pages);
-      res.objects_live++;
+  std::size_t kept = 0;
+  for (const std::uint32_t page : old_) {
+    Meta* meta = meta_of(object_at(page));
+    meta->young.store(0, std::memory_order_relaxed);
+    if (meta->mark.load(std::memory_order_relaxed) == 0) {
+      free_run_locked(page, meta, &res);
       continue;
     }
-    res.objects_freed++;
-    res.bytes_freed += meta->obj_words * kWordBytes;
-    res.pages_freed += meta->pages;
-    meta->magic = 0;
-    free_.push_back(Extent{page, meta->pages});
+    meta->mark.store(0, std::memory_order_relaxed);
+    old_[kept++] = page;
+    live_top = std::max(live_top, page + meta->pages);
+    res.objects_live++;
   }
-  objects_.swap(live);
+  old_.resize(kept);
   coalesce(free_);
+  used_pages_.fetch_sub(static_cast<std::size_t>(res.pages_freed),
+                        std::memory_order_relaxed);
   // Everything from the cycle's high-water mark up is free.  Below it the
   // freed runs stay committed for the next cycle's first-fit reuse; above
   // it, pages an earlier, larger cycle touched go back to the kernel.
@@ -126,8 +162,6 @@ LargeObjectSpace::SweepResult LargeObjectSpace::sweep() {
   }
   resident_top_ = cycle_top_;
   cycle_top_ = live_top;
-  used_pages_.fetch_sub(static_cast<std::size_t>(res.pages_freed),
-                        std::memory_order_relaxed);
   return res;
 }
 

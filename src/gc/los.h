@@ -6,11 +6,12 @@
 // generation, where every major collection memcpy'd them between semispaces
 // and — worse — an old-gen array born with nursery-pointing fields had no
 // store-list entry, so its young targets could be missed by the next minor
-// collection.  LOS objects are never copied: they are mark-swept by major
-// collections.  A traced object is born *dirty* when one of its initial
-// values points into the nursery, so the first minor collection after the
-// allocation scans its fields like any recorded store; an object of
-// immediates or old pointers is born clean and costs a minor nothing.
+// collection.  LOS objects are never copied: they are mark-swept, the young
+// ones by minor collections (below) and the rest by majors.  A traced object is born *dirty* when one of its initial
+// values is young (in the nursery, or a young large object), so the first
+// minor collection after the allocation scans its fields like any recorded
+// store; an object of immediates or old pointers is born clean and costs a
+// minor nothing.
 //
 // Layout.  One contiguous anonymous mapping (MAP_NORESERVE: pages cost
 // nothing until touched) carved into page runs by a first-fit free list of
@@ -20,10 +21,26 @@
 //   [LosMeta .. padded to 64 bytes][object header][fields ...]
 //
 // so a Value points at a perfectly ordinary object header and the collector
-// finds the run's metadata at a fixed negative offset.  The mark and dirty
-// flags live in the meta, never in the object header — a major collection
-// CAS-forwards old-generation headers, and keeping LOS state out of the
-// header means LOS objects need no forwarding protocol at all.
+// finds the run's metadata at a fixed negative offset.  The mark, dirty and
+// young flags live in the meta, never in the object header — a major
+// collection CAS-forwards old-generation headers, and keeping LOS state out
+// of the header means LOS objects need no forwarding protocol at all.
+//
+// Young runs.  A run is born young: its flag is set and it sits on the young
+// list, beside the list of old runs.  A minor collection marks the young
+// objects it reaches from roots, remembered ranges and promoted objects,
+// without scanning their fields: a young object that may hold a young
+// pointer is dirty (born so, or written through the barrier), so its
+// fields are a remembered range of that same minor.  After the copy,
+// sweep_young frees every unmarked young run.  A survivor that a heap slot
+// reached turns old, since that slot leaves the remembered set with the
+// minor.  One that only roots reached stays young: no heap slot points at
+// it, and every later pointer to it from the heap is written through the
+// barrier, promoted from the nursery or an initial value of a born-dirty
+// object, so the next minor sees it again (roots are scanned anew every
+// minor).  A major's sweep turns every survivor old.  A large buffer that
+// only a thread's frames hold is thus freed by the first minor after it
+// dies, not by the next major.
 //
 // The dirty list.  The clean -> dirty transition of an object's flag is an
 // exchange, and its one winner appends the object to a list under the same
@@ -32,7 +49,8 @@
 // since the last collection, not every live large object.
 //
 // Sweeping frees every unmarked run into the free list (re-coalesced, so
-// fragmentation cannot accrete across sweeps).  Freed runs stay committed:
+// fragmentation cannot accrete across sweeps); so does a minor's
+// sweep_young for its young runs.  Freed runs stay committed:
 // the next cycle's allocations reuse them first-fit, and handing them to the
 // kernel would only fault them straight back in.  The sweep returns to the
 // kernel (MADV_DONTNEED, one call) only the free pages above the highest
@@ -59,8 +77,9 @@ class LargeObjectSpace {
     std::uint32_t magic;           // kMagic for a live run
     std::uint32_t pages;           // run length, pages
     std::uint64_t obj_words;       // header + fields
-    std::atomic<std::uint8_t> mark;   // major-collection liveness
+    std::atomic<std::uint8_t> mark;   // reached by the collection under way
     std::atomic<std::uint8_t> dirty;  // may hold young pointers (minor root)
+    std::atomic<std::uint8_t> young;  // allocated since the last collection
   };
   static constexpr std::uint32_t kMagic = 0x105B10C5;
 
@@ -86,13 +105,19 @@ class LargeObjectSpace {
     return (bytes + kPageBytes - 1) / kPageBytes;
   }
 
-  // Allocate a run for an object of `obj_words` (header included); returns
-  // the object header address, or nullptr when no extent fits (the caller
-  // collects — a major sweeps this space — and retries).
+  // Allocate a young run for an object of `obj_words` (header included);
+  // returns the object header address, or nullptr when no extent fits (the
+  // caller collects — a major sweeps this space — and retries).
   std::uint64_t* alloc(std::size_t obj_words);
 
   bool contains(const void* p) const {
     return p >= base_ && p < base_ + arena_bytes_;
+  }
+
+  // True iff `p`, a pointer into the heap, is a young large object.
+  bool is_young(const std::uint64_t* p) const {
+    return contains(p) &&
+           meta_of(p)->young.load(std::memory_order_relaxed) != 0;
   }
 
   // Meta of an object returned by alloc() (fixed negative offset).
@@ -120,21 +145,37 @@ class LargeObjectSpace {
     return meta_of(obj)->mark.exchange(1, std::memory_order_acq_rel) == 0;
   }
 
-  // Post-minor: the nursery is empty, no object can hold young pointers;
-  // clears the flag of every listed object and empties the list.
-  void clear_all_dirty();
+  // Collector marking (minor phase): a young object reached through a root
+  // slot (`from_root`) or a heap slot survives the minor.  Its fields are
+  // not scanned (see "Young runs" above), so racing workers need not agree
+  // on a winner; each sets its bit at most once.
+  static constexpr std::uint8_t kReachedFromRoot = 1;
+  static constexpr std::uint8_t kReachedFromHeap = 2;
+  static void mark_young(std::uint64_t* obj, bool from_root) {
+    Meta* m = meta_of(obj);
+    const std::uint8_t bit = from_root ? kReachedFromRoot : kReachedFromHeap;
+    if (m->young.load(std::memory_order_relaxed) != 0 &&
+        (m->mark.load(std::memory_order_relaxed) & bit) == 0) {
+      m->mark.fetch_or(bit, std::memory_order_relaxed);
+    }
+  }
+
+  // Post-minor: the nursery is empty, no object can hold young pointers, so
+  // the dirty list empties; then every unmarked young run is freed, and a
+  // young object a heap slot reached turns old.  Frees pages only into the
+  // free list.
+  SweepResult sweep_young();
 
   // Post-major: free every unmarked run, release the free pages above this
-  // cycle's high-water mark, clear all marks on survivors, and empty the
-  // dirty list.
+  // cycle's high-water mark, clear all marks on survivors (which are all
+  // old from here on), and empty the dirty list.
   SweepResult sweep();
 
   // Enumerate live objects (object header addresses).  Collector-side only.
   template <typename Fn>
   void for_each_object(Fn&& fn) const {
-    for (const std::uint32_t page : objects_) {
-      fn(object_at(page));
-    }
+    for (const std::uint32_t page : old_) fn(object_at(page));
+    for_each_young(fn);
   }
 
   // Enumerate the dirty list: every object whose flag is set, once each.
@@ -144,7 +185,12 @@ class LargeObjectSpace {
     for (std::uint64_t* obj : dirty_) fn(obj);
   }
 
-  std::size_t object_count() const { return objects_.size(); }
+  // Enumerate the young list.  Collector-side only.
+  template <typename Fn>
+  void for_each_young(Fn&& fn) const {
+    for (const std::uint32_t page : young_) fn(object_at(page));
+  }
+
   std::size_t used_bytes() const {
     return used_pages_.load(std::memory_order_relaxed) * kPageBytes;
   }
@@ -169,13 +215,17 @@ class LargeObjectSpace {
   static void coalesce(std::vector<Extent>& extents);
   // Clear the flag of every listed object and empty the list; lock_ held.
   void clear_dirty_locked();
+  // Free the run at `page` into the free list (not yet coalesced) and count
+  // it in *res; lock_ held.
+  void free_run_locked(std::uint32_t page, Meta* meta, SweepResult* res);
 
   char* base_ = nullptr;
   std::size_t arena_bytes_ = 0;
   std::size_t arena_pages_ = 0;
   mutable arch::TasWord lock_;
   std::vector<Extent> free_;          // sorted by page; adjacent runs merged
-  std::vector<std::uint32_t> objects_;  // first page of every live run
+  std::vector<std::uint32_t> old_;    // first page of every old run
+  std::vector<std::uint32_t> young_;  // first page of every young run
   std::vector<std::uint64_t*> dirty_;   // objects whose dirty flag is set
   std::atomic<std::size_t> used_pages_{0};
   // High-water mark: end of the highest run in use since the previous sweep

@@ -48,6 +48,7 @@ ParallelCopier::PhaseResult ParallelCopier::run_phase(const PhaseSpaces& in) {
   card_base_ = in.card_base;
   card_words_ = (in.cards != nullptr) ? in.cards->card_words() : 0;
   los_ = in.los;
+  major_ = in.major;
   entered_.store(0, std::memory_order_relaxed);
   idle_.store(0, std::memory_order_relaxed);
   done_.store(false, std::memory_order_relaxed);
@@ -171,7 +172,9 @@ void ParallelCopier::claim_roots(Worker& w) {
                                                  std::memory_order_acq_rel);
     if (i >= n) return;
     const std::size_t end = std::min(i + kBatch, n);
-    for (std::size_t j = i; j < end; j++) forward_slot(w, root_slots_[j]);
+    for (std::size_t j = i; j < end; j++) {
+      forward_slot(w, root_slots_[j], /*from_root=*/true);
+    }
   }
 }
 
@@ -205,7 +208,8 @@ void ParallelCopier::scan_range(Worker& w, const ScanRange& r) {
   w.range_words += static_cast<std::uint64_t>(r.hi - r.lo);
 }
 
-void ParallelCopier::forward_slot(Worker& w, std::uint64_t* slot) {
+void ParallelCopier::forward_slot(Worker& w, std::uint64_t* slot,
+                                  bool from_root) {
   // Each slot is claimed by exactly one worker (root slots are deduplicated,
   // object slots belong to the worker scanning the object), so the slot
   // itself needs no synchronization — only the from-space header does.
@@ -213,13 +217,17 @@ void ParallelCopier::forward_slot(Worker& w, std::uint64_t* slot) {
   if (bits == 0 || (bits & 1u) != 0) return;  // nil or immediate int
   auto* obj = reinterpret_cast<std::uint64_t*>(bits);
   if (obj < from_lo_ || obj >= from_hi_) {
-    // Not in the evacuated space.  In a major phase the pointer may lead
-    // into the large-object space: mark it live, and whoever wins the mark
-    // CAS owes the object's fields a scan (exactly one scanner per object).
-    if (los_ != nullptr && los_->contains(obj) &&
-        LargeObjectSpace::try_mark(obj)) {
-      w.los_marked++;
-      if (header_is_traced(obj[0])) w.los_pending.push_back(obj);
+    // Not in the evacuated space.  The pointer may lead into the
+    // large-object space: a minor marks a young object live, with no scan;
+    // a major marks any object, and whoever wins the mark CAS owes its
+    // fields a scan (exactly one scanner per object).
+    if (los_ != nullptr && los_->contains(obj)) {
+      if (!major_) {
+        LargeObjectSpace::mark_young(obj, from_root);
+      } else if (LargeObjectSpace::try_mark(obj)) {
+        w.los_marked++;
+        if (header_is_traced(obj[0])) w.los_pending.push_back(obj);
+      }
     }
     return;
   }

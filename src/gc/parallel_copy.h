@@ -23,7 +23,8 @@
 //   - A major phase marks the large-object space in passing: the first
 //     worker to reach an LOS object wins its mark CAS (in the LOS meta, not
 //     the object header — LOS objects are never forwarded) and scans its
-//     fields from a private pending stack.
+//     fields from a private pending stack.  A minor phase marks only the
+//     young LOS objects it reaches, and scans none (gc/los.h).
 //   - When a block fills, its unscanned tail is published to a shared
 //     overflow stack that idle workers steal from; the retired block's
 //     unused words are padded so the old generation still parses.
@@ -82,8 +83,9 @@ class ParallelCopier {
   // (each slot is claimed and rewritten by exactly one worker); `ranges`
   // may overlap objects but never slots (the [lo, hi) clamp).  With `cards`
   // set the copier maintains the crossing map for every object and pad it
-  // writes, with offsets relative to `card_base`.  With `los` set the phase
-  // is a major: pointers into the LOS are marked and their fields scanned.
+  // writes, with offsets relative to `card_base`.  Pointers into `los` mark
+  // the young objects they reach; with `major` set they mark every object
+  // and its fields are scanned.
   struct PhaseSpaces {
     std::uint64_t* from_lo = nullptr;
     std::uint64_t* from_hi = nullptr;
@@ -94,6 +96,7 @@ class ParallelCopier {
     CardTable* cards = nullptr;
     std::uint64_t* card_base = nullptr;
     LargeObjectSpace* los = nullptr;
+    bool major = false;
   };
 
   // Collector side.  begin_cycle() must be called before the worker fn is
@@ -139,7 +142,8 @@ class ParallelCopier {
   void run_worker(std::uint64_t myseq);
   void claim_roots(Worker& w);
   void claim_ranges(Worker& w);
-  void forward_slot(Worker& w, std::uint64_t* slot);
+  // `from_root`: the slot is a root, not a field of a heap object.
+  void forward_slot(Worker& w, std::uint64_t* slot, bool from_root = false);
   void drain_own(Worker& w);
   // drain_own plus the worker's pending LOS scans, to a joint fixpoint.
   void drain_all(Worker& w);
@@ -178,6 +182,7 @@ class ParallelCopier {
   std::uint64_t* card_base_ = nullptr;
   std::size_t card_words_ = 0;  // 0: no card alignment / crossing map
   LargeObjectSpace* los_ = nullptr;
+  bool major_ = false;
 
   std::atomic<int> entered_{0};
   std::atomic<int> idle_{0};

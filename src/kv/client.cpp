@@ -10,15 +10,13 @@ void KvClient::flush() {
   outbuf_.clear();
 }
 
-Reply KvClient::recv_reply() {
-  Reply rep;
+void KvClient::recv_reply(Reply* out) {
   char chunk[4096];
-  while (!parser_.next(&rep)) {
+  while (!parser_.next(out)) {
     const std::size_t n = in_.read_some(chunk, sizeof(chunk));
     MPNJ_CHECK(n > 0, "kv server closed mid-reply");
     parser_.feed(chunk, n);
   }
-  return rep;
 }
 
 bool KvClient::set(std::string_view key, std::string_view value) {

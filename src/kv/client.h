@@ -16,7 +16,8 @@
 //  - pipelined: queue_*() appends encoded requests to an outgoing buffer,
 //    flush() pushes the whole batch in one write, recv_reply() drains the
 //    replies in request order.  This is how the load generators keep a
-//    window of requests in flight per connection.
+//    window of requests in flight per connection; one that reads every
+//    reply into the same Reply allocates nothing per reply once warm.
 
 namespace mp::kv {
 
@@ -48,8 +49,14 @@ class KvClient {
   }
   void queue_raw(std::string_view bytes) { outbuf_ += bytes; }
   void flush();
-  // Next reply in request order; blocks until one arrives.
-  Reply recv_reply();
+  // Next reply in request order, written over *out (ReplyParser::next);
+  // blocks until one arrives.
+  void recv_reply(Reply* out);
+  Reply recv_reply() {
+    Reply rep;
+    recv_reply(&rep);
+    return rep;
+  }
 
   void close() {
     in_.close();

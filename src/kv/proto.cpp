@@ -32,13 +32,6 @@ void reset(Request* r, Op op) {
   r->reset(op, &budget);
 }
 
-void reset(Reply* r, Reply::Kind kind) {
-  r->kind = kind;
-  r->ival = 0;
-  r->text.clear();
-  r->items.clear();
-}
-
 // Drops a parser buffer's consumed prefix.  A fully consumed buffer starts
 // over without moving a byte (and gives back a buffer a large frame grew
 // past kKeepBytes); otherwise the prefix goes once it dominates, so
@@ -355,6 +348,18 @@ bool ReplyParser::take_line(std::string_view* line) {
   return true;
 }
 
+void ReplyParser::reset(Reply* out, Reply::Kind kind) {
+  out->kind = kind;
+  out->ival = 0;
+  clear_kept(&out->text);
+  for (std::string& item : out->items) {
+    if (spare_bytes_ + item.capacity() > kKeepBytes) break;
+    spare_bytes_ += item.capacity();
+    spare_.push_back(std::move(item));
+  }
+  clear_kept(&out->items);
+}
+
 bool ReplyParser::next(Reply* out) {
   for (;;) {
     switch (mode_) {
@@ -427,7 +432,14 @@ bool ReplyParser::next(Reply* out) {
         pos_ += bulk_need_ + term;
         mode_ = Mode::kLine;
         if (in_array_) {
-          items_.emplace_back(buf_, at, bulk_need_);
+          if (spare_.empty()) {
+            items_.emplace_back(buf_, at, bulk_need_);
+          } else {
+            spare_bytes_ -= spare_.back().capacity();
+            items_.push_back(std::move(spare_.back()));
+            spare_.pop_back();
+            items_.back().assign(buf_, at, bulk_need_);
+          }
           if (--array_left_ == 0) {
             in_array_ = false;
             reset(out, Reply::Kind::kArray);

@@ -173,7 +173,11 @@ struct Reply {
 };
 
 // Incremental reply parser (client side), same contract as FrameParser:
-// next() rewrites every field of *out in place.
+// next() rewrites every field of *out in place, so nothing of the reply *out
+// held before carries over.  Its buffers are kept within kKeepBytes: the
+// text's in *out, and the item strings in the parser, which refills them
+// with a later array's items, so a caller that reuses one Reply parses
+// without allocating.
 class ReplyParser {
  public:
   void feed(const void* data, std::size_t n);
@@ -184,6 +188,8 @@ class ReplyParser {
   enum class Mode : std::uint8_t { kLine, kBulkBody };
 
   bool take_line(std::string_view* line);
+  // Makes *out a blank reply of `kind`; its item strings become spares.
+  void reset(Reply* out, Reply::Kind kind);
 
   std::string buf_;
   std::size_t pos_ = 0;
@@ -192,6 +198,10 @@ class ReplyParser {
   std::vector<std::string> items_;  // the array being collected
   long array_left_ = 0;  // bulk items still owed to items_ (array mode)
   bool in_array_ = false;
+  // Item strings of earlier replies, for items_ to refill; their buffers
+  // total at most kKeepBytes (spare_bytes_).
+  std::vector<std::string> spare_;
+  std::size_t spare_bytes_ = 0;
 };
 
 }  // namespace mp::kv

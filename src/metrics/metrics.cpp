@@ -21,6 +21,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gc_cards_dirtied",      "gc_cards_scanned",      "gc_card_scan_words",
     "gc_card_flushes",       "gc_los_bytes_allocated", "gc_los_bytes_swept",
     "gc_los_sweeps",         "gc_los_marked",         "gc_los_scanned",
+    "gc_los_young_freed",    "gc_los_young_bytes_freed",
     "gc_par_collections",    "gc_par_workers",
     "gc_par_steals",         "gc_par_overflow_pushes", "gc_par_pad_words",
     "gc_par_term_rounds",    "sched_dispatches",      "sched_preempts",

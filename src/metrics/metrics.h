@@ -75,6 +75,8 @@ enum class Counter : std::uint32_t {
   kGcLosSweeps,          // post-major sweep passes
   kGcLosMarked,          // LOS objects marked live by major collections
   kGcLosScanned,         // dirty LOS objects re-scanned by minor collections
+  kGcLosYoungFreed,      // young LOS objects freed by minor collections
+  kGcLosYoungBytesFreed,  // object bytes of those
   // Parallel collection (gc/parallel_copy.cpp).
   kGcParCollections,    // collections that ran the parallel copier
   kGcParWorkers,        // workers that participated, summed over collections

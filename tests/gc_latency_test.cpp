@@ -1,7 +1,8 @@
 // Tests for the latency-grade GC layers: card-marking remembered set vs the
 // paper's store-list baseline (observable equivalence), per-proc promotion
 // under real parallelism, the large-object space on all three platform
-// backends (born-clean allocation, the dirty list, the coalescing sweep),
+// backends (born-clean allocation, the dirty list, the coalescing sweep,
+// young large objects freed by minors),
 // the proc id the allocation fast path reads, simulator bit-reproducibility
 // with the new cost knobs, and the configuration death checks.
 
@@ -436,9 +437,20 @@ void GcLatencyTest::los_pressure_escalates_to_major() {
                               .with_los_bytes(1u << 20)
                               .with_los_pressure_fraction(0.5));
   on_proc([&] {
-    // Fill more than half the tiny LOS arena with garbage, then trigger a
-    // minor: the pressure check must escalate it to a major, which sweeps.
-    for (int i = 0; i < 15; i++) h.alloc_array(4096, Value::from_int(i));
+    // Fill more than half the tiny LOS arena with old garbage, then trigger
+    // a minor: the pressure check must escalate it to a major, which
+    // sweeps.  The arrays survive a major in a root frame first, so they
+    // are old when dropped: a minor frees young garbage itself, and a
+    // survivor that only roots hold stays young until a major.
+    {
+      Roots<15> r;
+      for (int i = 0; i < 15; i++) {
+        r[static_cast<std::size_t>(i)] = h.alloc_array(4096, Value::from_int(i));
+      }
+      h.collect_now(/*force_major=*/true);
+      ASSERT_TRUE(h.in_los(r[14]));
+      ASSERT_EQ(r[14].field(4095).as_int(), 14);
+    }
     ASSERT_GT(h.los_used_bytes(), (1u << 20) / 2);
     const auto majors_before = h.stats().major_gcs;
     h.collect_now(/*force_major=*/false);
@@ -478,8 +490,8 @@ TEST_P(GcLatencyRemsetTest, PauseLogRecordsExactSamples) {
 
 enum class Backend { kSim, kNative, kUni };
 
-std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
-  switch (info.param) {
+const char* backend_str(Backend b) {
+  switch (b) {
     case Backend::kSim: return "Sim";
     case Backend::kNative: return "Native";
     case Backend::kUni: return "Uni";
@@ -487,30 +499,40 @@ std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
   return "?";
 }
 
+std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
+  return backend_str(info.param);
+}
+
+// A platform of `procs` procs (uni has one) on the backend `b` names.
+std::unique_ptr<mp::Platform> make_platform(Backend b, int procs,
+                                            const HeapConfig& heap) {
+  switch (b) {
+    case Backend::kSim: {
+      mp::SimPlatformConfig cfg;
+      cfg.machine = mp::sim::sequent_s81(procs);
+      cfg.heap = heap;
+      return std::make_unique<mp::SimPlatform>(cfg);
+    }
+    case Backend::kNative: {
+      mp::NativePlatformConfig cfg;
+      cfg.max_procs = procs;
+      cfg.heap = heap;
+      return std::make_unique<mp::NativePlatform>(cfg);
+    }
+    case Backend::kUni: {
+      mp::UniPlatformConfig cfg;
+      cfg.heap = heap;
+      return std::make_unique<mp::UniPlatform>(cfg);
+    }
+  }
+  __builtin_unreachable();
+}
+
 class GcLatencyBackendTest : public ::testing::TestWithParam<Backend> {
  protected:
   std::unique_ptr<mp::Platform> make(int procs, HeapConfig heap) {
     heap.remset = remset_;
-    switch (GetParam()) {
-      case Backend::kSim: {
-        mp::SimPlatformConfig cfg;
-        cfg.machine = mp::sim::sequent_s81(procs);
-        cfg.heap = heap;
-        return std::make_unique<mp::SimPlatform>(cfg);
-      }
-      case Backend::kNative: {
-        mp::NativePlatformConfig cfg;
-        cfg.max_procs = procs;
-        cfg.heap = heap;
-        return std::make_unique<mp::NativePlatform>(cfg);
-      }
-      case Backend::kUni: {
-        mp::UniPlatformConfig cfg;
-        cfg.heap = heap;
-        return std::make_unique<mp::UniPlatform>(cfg);
-      }
-    }
-    __builtin_unreachable();
+    return make_platform(GetParam(), procs, heap);
   }
 
   void los_alloc_survival_and_sweep();
@@ -561,11 +583,12 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GcLatencyListBackendTest,
                          backend_name);
 
 // A large allocation's charge is a clean point on the simulator, where the
-// other proc may run a major.  One proc forces majors back to back while
+// other proc may collect.  One proc forces collections back to back while
 // the other allocates 600-word arrays and keeps the last four rooted: a run
-// placed before that clean point would be swept as unmarked, re-used by a
-// later array, and found overwritten here.
-TEST(GcLosRace, SimMajorAtTheLargeAllocationChargeKeepsTheNewRun) {
+// placed before that clean point would be freed as unreached (by a major's
+// sweep, or by a minor while it is young), re-used by a later array, and
+// found overwritten here.
+mp::gc::HeapStats large_allocation_charge_keeps_the_new_run(bool major) {
   constexpr int kArrays = 1000;
   constexpr std::size_t kWords = 600;
   mp::SimPlatformConfig cfg;
@@ -579,7 +602,7 @@ TEST(GcLosRace, SimMajorAtTheLargeAllocationChargeKeepsTheNewRun) {
     Heap& h = p.heap();
     callcc<Unit>([&](Cont<Unit> parent) -> Unit {
       p.acquire_proc(parent, 0);
-      while (allocating.load()) h.collect_now(/*force_major=*/true);
+      while (allocating.load()) h.collect_now(major);
       p.release_proc();
     });
     Roots<4> kept;
@@ -600,8 +623,225 @@ TEST(GcLosRace, SimMajorAtTheLargeAllocationChargeKeepsTheNewRun) {
   });
   EXPECT_EQ(checks, 4 * kArrays - 6);
   EXPECT_EQ(overwritten, 0);
-  EXPECT_GT(p.heap().stats().major_gcs, 10u);
+  return p.heap().stats();
 }
+
+TEST(GcLosRace, SimMajorAtTheLargeAllocationChargeKeepsTheNewRun) {
+  EXPECT_GT(large_allocation_charge_keeps_the_new_run(true).major_gcs, 10u);
+}
+
+// The same with minors, which free the young runs they do not reach.
+TEST(GcLosRace, SimMinorAtTheLargeAllocationChargeKeepsTheNewRun) {
+  const mp::gc::HeapStats s = large_allocation_charge_keeps_the_new_run(false);
+  EXPECT_GT(s.minor_gcs, 10u);
+  EXPECT_EQ(s.major_gcs, 0u);
+  EXPECT_GT(s.los_young_freed, 0u);
+}
+
+// ---------- large objects that die young ----------
+
+// Every cell of the collector: backend, remset and copier.
+struct YoungLosCell {
+  Backend backend;
+  RemsetMode remset;
+  bool parallel_gc;
+};
+
+std::string young_los_cell_name(
+    const ::testing::TestParamInfo<YoungLosCell>& info) {
+  return std::string(backend_str(info.param.backend)) +
+         (info.param.remset == RemsetMode::kCard ? "_Card" : "_List") +
+         (info.param.parallel_gc ? "_Parallel" : "_Sequential");
+}
+
+// A minor collection frees the young large objects it does not reach, with
+// no major; one it reaches keeps its run and its contents, and stays young
+// while only roots hold it.  Each survival case holds the object through
+// one kind of reference only.  On sim and native the heap has two procs,
+// and every phase is verified.
+class GcYoungLosTest : public ::testing::TestWithParam<YoungLosCell> {
+ protected:
+  static constexpr std::size_t kWords = 1024;  // 8 KiB: a large object
+
+  // Runs `body` on the first proc of a fresh platform.
+  void run(const std::function<void(Heap&)>& body) {
+    const YoungLosCell c = GetParam();
+    HeapConfig heap;
+    heap.with_nursery_bytes(128 * 1024)
+        .with_old_bytes(2u << 20)
+        .with_remset(c.remset)
+        .with_parallel_gc(c.parallel_gc)
+        .with_verify_after_phase(true);
+    auto p = make_platform(c.backend, 2, heap);
+    p->run([&] { body(p->heap()); });
+  }
+
+  // Two minors, and no major, must keep the array that `get` reads alive
+  // with every field `tag`: a decoy of the same size allocated after each
+  // would land on its run had that minor freed it.  The second minor
+  // checks the first one's verdict, young or old.
+  static void expect_survives_minors(Heap& h, const std::function<Value()>& get,
+                                     std::int64_t tag) {
+    const mp::gc::HeapStats before = h.stats();
+    Roots<2> decoys;
+    for (std::size_t round = 0; round < 2; round++) {
+      h.collect_now();
+      decoys[round] = h.alloc_array(kWords, Value::from_int(-1));
+      const Value a = get();
+      ASSERT_TRUE(h.in_los(a));
+      ASSERT_EQ(a.length(), kWords);
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < kWords; i++) {
+        if (!a.field(i).is_int() || a.field(i).as_int() != tag) wrong++;
+      }
+      EXPECT_EQ(wrong, 0u) << "after minor " << round + 1;
+    }
+    const mp::gc::HeapStats after = h.stats();
+    EXPECT_EQ(after.minor_gcs, before.minor_gcs + 2);
+    EXPECT_EQ(after.major_gcs, before.major_gcs);
+    std::string err;
+    EXPECT_TRUE(h.verify(&err)) << err;
+  }
+};
+
+TEST_P(GcYoungLosTest, YoungGarbageIsFreedByAMinor) {
+  run([](Heap& h) {
+    Roots<1> keep;
+    keep[0] = h.alloc_array(kWords, Value::from_int(5));
+    h.collect_now();  // keep[0] is old now
+    const std::size_t live = h.los_used_bytes();
+    const mp::gc::HeapStats before = h.stats();
+    for (int i = 0; i < 8; i++) h.alloc_array(kWords, Value::from_int(i));
+    EXPECT_GT(h.los_used_bytes(), live);
+    h.collect_now();
+    EXPECT_EQ(h.los_used_bytes(), live);
+    const mp::gc::HeapStats after = h.stats();
+    EXPECT_EQ(after.major_gcs, before.major_gcs);
+    EXPECT_EQ(after.los_young_freed, before.los_young_freed + 8);
+    EXPECT_EQ(after.los_young_bytes_freed,
+              before.los_young_bytes_freed + 8 * (1 + kWords) * 8);
+    EXPECT_EQ(keep[0].field(kWords - 1).as_int(), 5);
+  });
+}
+
+TEST_P(GcYoungLosTest, YoungLargeObjectHeldByARootFrameSurvives) {
+  run([](Heap& h) {
+    Roots<1> r;
+    r[0] = h.alloc_array(kWords, Value::from_int(11));
+    expect_survives_minors(h, [&] { return r[0]; }, 11);
+  });
+}
+
+TEST_P(GcYoungLosTest, YoungLargeObjectHeldByANurseryObjectSurvives) {
+  run([](Heap& h) {
+    Roots<2> r;
+    r[1] = h.alloc_array(kWords, Value::from_int(13));
+    r[0] = h.alloc_record({Value::from_int(0), r[1]});
+    ASSERT_TRUE(h.in_nursery(r[0]));
+    r[1] = Value::nil();
+    expect_survives_minors(h, [&] { return r[0].field(1); }, 13);
+  });
+}
+
+TEST_P(GcYoungLosTest, YoungLargeObjectStoredIntoAnOldObjectSurvives) {
+  run([](Heap& h) {
+    Roots<2> r;
+    r[0] = h.alloc_array(4, Value::nil());
+    h.collect_now();
+    ASSERT_TRUE(h.in_old_space(r[0]));
+    r[1] = h.alloc_array(kWords, Value::from_int(17));
+    h.store(r[0], 2, r[1]);  // through the barrier
+    r[1] = Value::nil();
+    expect_survives_minors(h, [&] { return r[0].field(2); }, 17);
+  });
+}
+
+TEST_P(GcYoungLosTest, YoungLargeObjectInAnotherOnesInitialFieldSurvives) {
+  run([](Heap& h) {
+    Roots<2> r;
+    r[1] = h.alloc_array(kWords, Value::from_int(19));
+    // Born dirty: its initial value is a young large object.
+    r[0] = h.alloc_array(kWords, r[1]);
+    r[1] = Value::nil();
+    expect_survives_minors(h, [&] { return r[0].field(kWords - 1); }, 19);
+  });
+}
+
+// Only roots hold a large buffer: it stays young across minors, and the
+// first minor after its frame drops it frees it.
+TEST_P(GcYoungLosTest, RootHeldLargeObjectIsFreedByTheMinorAfterItDies) {
+  run([](Heap& h) {
+    const std::size_t live = h.los_used_bytes();
+    Roots<1> r;
+    r[0] = h.alloc_array(kWords, Value::from_int(29));
+    h.collect_now();
+    h.collect_now();
+    EXPECT_EQ(r[0].field(kWords - 1).as_int(), 29);
+    const mp::gc::HeapStats before = h.stats();
+    r[0] = Value::nil();
+    h.collect_now();
+    const mp::gc::HeapStats after = h.stats();
+    EXPECT_EQ(after.los_young_freed, before.los_young_freed + 1);
+    EXPECT_EQ(after.major_gcs, before.major_gcs);
+    EXPECT_EQ(h.los_used_bytes(), live);
+  });
+}
+
+// A heap slot reached it: it turns old, and once dropped only a major
+// frees it.
+TEST_P(GcYoungLosTest, HeapHeldLargeObjectTurnsOld) {
+  run([](Heap& h) {
+    Roots<2> r;
+    r[0] = h.alloc_array(4, Value::nil());
+    h.collect_now();
+    ASSERT_TRUE(h.in_old_space(r[0]));
+    const std::size_t live = h.los_used_bytes();
+    r[1] = h.alloc_array(kWords, Value::from_int(31));
+    h.store(r[0], 1, r[1]);
+    r[1] = Value::nil();
+    h.collect_now();
+    const std::size_t held = h.los_used_bytes();
+    EXPECT_GT(held, live);
+    h.store(r[0], 1, Value::nil());
+    const mp::gc::HeapStats before = h.stats();
+    h.collect_now();
+    EXPECT_EQ(h.stats().los_young_freed, before.los_young_freed);
+    EXPECT_EQ(h.los_used_bytes(), held);
+    h.collect_now(/*force_major=*/true);
+    EXPECT_EQ(h.los_used_bytes(), live);
+  });
+}
+
+// A parked thread is a suspended continuation: its frames' roots are
+// reachable only through the continuation's root chain.
+TEST_P(GcYoungLosTest, YoungLargeObjectHeldByAParkedRootChainSurvives) {
+  run([](Heap& h) {
+    Roots<1> r;
+    r[0] = h.alloc_array(kWords, Value::from_int(23));
+    const Value held = r[0];
+    callcc<Unit>([&](Cont<Unit>) -> Unit {
+      // A fresh root chain: only the suspended frame's chain holds r.
+      expect_survives_minors(h, [&] { return held; }, 23);
+      return Unit{};
+    });
+    EXPECT_EQ(r[0].raw_bits(), held.raw_bits());  // large objects never move
+    EXPECT_EQ(r[0].field(kWords - 1).as_int(), 23);
+  });
+}
+
+std::vector<YoungLosCell> all_young_los_cells() {
+  std::vector<YoungLosCell> cells;
+  for (const Backend b : {Backend::kSim, Backend::kNative, Backend::kUni}) {
+    for (const RemsetMode m : {RemsetMode::kCard, RemsetMode::kList}) {
+      for (const bool par : {true, false}) cells.push_back({b, m, par});
+    }
+  }
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCells, GcYoungLosTest,
+                         ::testing::ValuesIn(all_young_los_cells()),
+                         young_los_cell_name);
 
 // ---------- parallel promotion under real procs ----------
 

@@ -8,7 +8,9 @@
 // This binary replaces the global operator new and delete with counting
 // versions, so it is kept apart from the other kv tests.  The client side
 // writes pre-encoded flushes and reads the replies raw into a fixed buffer,
-// so every allocation counted is the server's (or the runtime's under it).
+// so every allocation counted is the server's (or the runtime's under it),
+// except in the one case that reads them through a KvClient into one
+// reused Reply, which counts the client's too.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "io/stream.h"
+#include "kv/client.h"
 #include "kv/proto.h"
 #include "kv/server.h"
 #include "kv/service.h"
@@ -117,10 +120,11 @@ std::string key_of(int i) {
   return buf;
 }
 
-// One pre-encoded flush and the exact bytes of its replies.
+// One pre-encoded flush, the exact bytes of its replies and their number.
 struct Flush {
   std::string wire;
   std::string expect;
+  int replies = 0;
 };
 
 // The client's model of the store, used to predict every reply.
@@ -129,10 +133,12 @@ class Model {
   void set(Flush* f, const std::string& key, const std::string& value) {
     mp::kv::encode_set(&f->wire, key, value);
     mp::kv::encode_ok(&f->expect);
+    f->replies++;
     map_[key] = value;
   }
   void get(Flush* f, const std::string& key) {
     mp::kv::encode_get(&f->wire, key);
+    f->replies++;
     const auto it = map_.find(key);
     if (it == map_.end()) {
       mp::kv::encode_nil(&f->expect);
@@ -143,9 +149,11 @@ class Model {
   void del(Flush* f, const std::string& key) {
     mp::kv::encode_del(&f->wire, key);
     mp::kv::encode_int(&f->expect, static_cast<long>(map_.erase(key)));
+    f->replies++;
   }
   void range(Flush* f, const std::string& lo, const std::string& hi) {
     mp::kv::encode_range(&f->wire, lo, hi);
+    f->replies++;
     std::string body;
     std::size_t pairs = 0;
     for (auto it = map_.lower_bound(lo); it != map_.end() && it->first <= hi;
@@ -199,12 +207,41 @@ Flush preload(Model& m, int from, int to) {
   return f;
 }
 
+// Appends the wire form of `rep` to *out, as the server encodes it.
+void append_reply(const mp::kv::Reply& rep, std::string* out) {
+  using Kind = mp::kv::Reply::Kind;
+  switch (rep.kind) {
+    case Kind::kSimple:
+      out->append("+").append(rep.text).append("\r\n");
+      break;
+    case Kind::kError:
+      out->append("-ERR ").append(rep.text).append("\r\n");
+      break;
+    case Kind::kInt:
+      mp::kv::encode_int(out, rep.ival);
+      break;
+    case Kind::kBulk:
+      mp::kv::encode_bulk(out, rep.text);
+      break;
+    case Kind::kNil:
+      mp::kv::encode_nil(out);
+      break;
+    case Kind::kArray:
+      mp::kv::encode_array_header(out, rep.items.size());
+      for (const std::string& item : rep.items) mp::kv::encode_bulk(out, item);
+      break;
+  }
+}
+
 // Runs `body` as a client of one connection served by a service of
 // `shards` shards on one simulated proc.  `send` writes a flush and reads
-// its replies raw, returning whether they matched byte for byte.
+// its replies, returning whether they matched byte for byte: raw into a
+// fixed buffer, or with `through_client`, through a KvClient into one
+// reused Reply, each re-encoded into one reused buffer.
 using Send = std::function<bool(const Flush&)>;
 
-void with_server(int shards, const std::function<void(const Send&)>& body) {
+void with_server(int shards, const std::function<void(const Send&)>& body,
+                 bool through_client = false) {
   mp::SimPlatformConfig cfg;
   cfg.machine = mp::sim::sequent_s81(1);
   mp::SimPlatform plat(cfg);
@@ -220,7 +257,7 @@ void with_server(int shards, const std::function<void(const Send&)>& body) {
       served.count_down();
     });
     std::vector<char> buf(64u << 10);
-    const Send send = [&](const Flush& f) {
+    const Send raw = [&](const Flush& f) {
       client_end.out.write_all(f.wire.data(), f.wire.size());
       std::size_t got = 0;
       bool same = true;
@@ -233,7 +270,20 @@ void with_server(int shards, const std::function<void(const Send&)>& body) {
       }
       return same;
     };
-    body(send);
+    mp::kv::KvClient cli(client_end);
+    mp::kv::Reply rep;
+    std::string got;
+    const Send via_client = [&](const Flush& f) {
+      cli.queue_raw(f.wire);
+      cli.flush();
+      got.clear();
+      for (int i = 0; i < f.replies; i++) {
+        cli.recv_reply(&rep);
+        append_reply(rep, &got);
+      }
+      return got == f.expect;
+    };
+    body(through_client ? via_client : raw);
     client_end.out.close();  // EOF: the connection drains and returns
     served.await();
     client_end.in.close();
@@ -241,7 +291,9 @@ void with_server(int shards, const std::function<void(const Send&)>& body) {
   });
 }
 
-TEST(KvAlloc, AllocationsPerReadDoNotGrowWithRequestsPerRead) {
+// After a warm-up, 8 flushes of 16 and 8 of 64 requests must cost the same
+// allocations, read raw or through a KvClient (`through_client`).
+void allocations_per_read_do_not_grow(bool through_client) {
   constexpr int kKeys = 64;
   constexpr int kRounds = 8;
   Model m;
@@ -269,12 +321,22 @@ TEST(KvAlloc, AllocationsPerReadDoNotGrowWithRequestsPerRead) {
       ASSERT_TRUE(send(large[static_cast<std::size_t>(r)]));
       large_news += g_news.load(std::memory_order_relaxed) - before;
     }
-  });
+  }, through_client);
   std::printf("allocations per flush: 16 requests %.2f, 64 requests %.2f\n",
               static_cast<double>(small_news) / kRounds,
               static_cast<double>(large_news) / kRounds);
   // The same per read: no allocation follows a request.
   EXPECT_EQ(large_news, small_news);
+}
+
+TEST(KvAlloc, AllocationsPerReadDoNotGrowWithRequestsPerRead) {
+  allocations_per_read_do_not_grow(false);
+}
+
+// The client's side too: KvClient::recv_reply into one Reply refills its
+// text and its array items in place.
+TEST(KvAlloc, RepliesReadIntoOneReplyDoNotAllocatePerRequest) {
+  allocations_per_read_do_not_grow(true);
 }
 
 // One 1 MiB SET (then a DEL of its key) and one RANGE of 12,000 pairs grow

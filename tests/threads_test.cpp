@@ -401,22 +401,33 @@ TEST_P(ThreadsTest, RWLockAllowsConcurrentReaders) {
 }
 
 TEST_P(ThreadsTest, PreemptionInterleavesComputeBoundThreads) {
+  constexpr double kIntervalUs = 300;
   auto p = make(1);
   std::vector<int> trace;
+  int switches = 0;
   SchedulerConfig cfg;
-  cfg.preempt_interval_us = 300;
+  cfg.preempt_interval_us = kIntervalUs;
   run(*p,
       [&](Scheduler& s) {
+        // Compute-bound: never yields voluntarily.  Each thread computes in
+        // 50 us steps (virtual on the simulator, real on native), logging
+        // each step, until the log shows 4 switches.  The bound is 40
+        // intervals' worth of steps: it rides out a host that keeps the
+        // ticker thread asleep for a while, and it counts compute, not wall
+        // time, so a stall of the whole process does not use it up.  A
+        // timer far slower than configured still runs it out.
+        constexpr double kStepUs = 50;
+        constexpr std::size_t kMaxSteps = 40 * kIntervalUs / kStepUs;
         CountdownLatch latch(s, 2);
         for (int id = 1; id <= 2; id++) {
           s.fork([&, id] {
-            // Compute-bound: never yields voluntarily.  Each iteration
-            // burns ~50us (virtual on the simulator, real on native) so the
-            // 300us preemption timer fires many times.
-            for (int i = 0; i < 200; i++) {
+            while (switches <= 3 && trace.size() < kMaxSteps) {
+              if (!trace.empty() && trace.back() != id) switches++;
               trace.push_back(id);
               const double t0 = s.platform().now_us();
-              while (s.platform().now_us() - t0 < 50) s.platform().work(20);
+              while (s.platform().now_us() - t0 < kStepUs) {
+                s.platform().work(20);
+              }
             }
             latch.count_down();
           });
@@ -426,11 +437,6 @@ TEST_P(ThreadsTest, PreemptionInterleavesComputeBoundThreads) {
       std::move(cfg));
   // Without preemption thread 1 would fully precede thread 2 on one proc;
   // the timer must have forced at least a few switches.
-  ASSERT_EQ(trace.size(), 400u);
-  int switches = 0;
-  for (std::size_t i = 1; i < trace.size(); i++) {
-    if (trace[i] != trace[i - 1]) switches++;
-  }
   EXPECT_GT(switches, 3);
 }
 
